@@ -153,49 +153,12 @@ def _cmd_search(args) -> int:
         )
     else:
         trials = args.random if args.random is not None else 100
-        if args.threads > 1:
-            result = _parallel_random(args, trials)
-        else:
-            result = search.random_search(
-                args.n, args.k, args.rule, trials, args.seed, args.cap
-            )
+        result = search.random_search(
+            args.n, args.k, args.rule, trials, args.seed, args.cap,
+            workers=args.threads,
+        )
     _emit(result.to_json())
     return EX_OK
-
-
-def _random_chunk(chunk_args):
-    n, k, rule, trials, seed, cap = chunk_args
-    return search.random_search(n, k, rule, trials, seed, cap)
-
-
-def _parallel_random(args, trials: int):
-    import multiprocessing as mp
-
-    workers = args.threads
-    per = [trials // workers] * workers
-    for i in range(trials % workers):
-        per[i] += 1
-    jobs = [
-        (args.n, args.k, args.rule, t, args.seed + i, args.cap)
-        for i, t in enumerate(per)
-        if t
-    ]
-    with mp.Pool(workers) as pool:
-        parts = pool.map(_random_chunk, jobs)
-    best = None
-    for part in parts:
-        if part.best_diameter is None:
-            continue
-        if best is None or part.best_diameter > best.best_diameter:
-            best = part
-    if best is None:
-        return search.SearchResult(
-            args.n, args.k, args.rule, None, None, False,
-            trials=trials, seed=args.seed,
-        )
-    best.trials = trials
-    best.seed = args.seed
-    return best
 
 
 def _cmd_verify(args) -> int:

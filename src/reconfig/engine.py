@@ -6,14 +6,23 @@ edge of the host graph under the slide rule ("ts"). Components are explored
 by BFS over canonical integer keys without ever materializing the full
 configuration graph.
 
+Exact diameters come from one all-sources core, ``component_diameter``:
+the component's nodes are indexed in ascending key order and every source
+keeps a bit-parallel reach set, grown by one BFS layer per round by ORing
+neighbours' sets, until all sets are full. The round count is the
+diameter and the witness pair is read off the last round, so no single-
+source search runs. Sources go in batches of ``_BATCH``, so a component of
+N nodes holds N x ``_BATCH`` bits of reach sets per round.
+
 All functions are pure and read-only on the host Graph, so separate
-components (or separate BFS sources) can safely be processed by parallel
-workers.
+components can safely be processed by parallel workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, GraphError, is_independent
@@ -50,6 +59,10 @@ DEFAULT_NODE_CAP = 5_000_000
 # Numeric key order is the tie-break order used throughout.
 KEY_BITS = 16
 _KEY_MASK = (1 << KEY_BITS) - 1
+
+# Sources per batch of component_diameter: a batch's reach sets hold at most
+# N x _BATCH bits for a component of N nodes.
+_BATCH = 2048
 
 
 class NodeCapExceeded(RuntimeError):
@@ -324,57 +337,109 @@ def validate_sequence(g: Graph, seq: list[tuple[int, ...]], rule: str = TJ) -> N
                 raise GraphError(f"slide {u} -> {v} is not along an edge")
 
 
+def _indexed_adjacency(comp: ConfigComponent) -> tuple[list[int], list[list[int]]]:
+    """The component's keys ascending, and for each key the ascending
+    indices (into that list) of its neighbours inside the component."""
+    keys = sorted(comp.dist)
+    index = {key: i for i, key in enumerate(keys)}
+    rows = []
+    for key in keys:
+        row = []
+        for nxt in _raw_neighbors(comp.graph, decode_key(key, comp.k), comp.rule):
+            j = index.get(encode_key(nxt))
+            if j is not None:
+                row.append(j)
+        row.sort()
+        rows.append(row)
+    return keys, rows
+
+
 def component_adjacency(comp: ConfigComponent) -> dict[int, list[int]]:
     """Materialized adjacency (key -> sorted neighbor keys) of a component."""
-    adj: dict[int, list[int]] = {}
-    for key in comp.dist:
-        vs = decode_key(key, comp.k)
-        nbrs = []
-        for nxt in _raw_neighbors(comp.graph, vs, comp.rule):
-            nkey = encode_key(nxt)
-            if nkey in comp.dist:
-                nbrs.append(nkey)
-        nbrs.sort()
-        adj[key] = nbrs
-    return adj
+    keys, rows = _indexed_adjacency(comp)
+    return {key: [keys[j] for j in row] for key, row in zip(keys, rows)}
+
+
+def _batch_eccentricity(
+    cols: list[list[int]], pos: list[int], order: list[int], lo: int, hi: int
+) -> tuple[int, int, int]:
+    """Largest eccentricity over the sources with key indices lo..hi-1, as
+    (ecc, source, far) in key indices: the smallest source of that
+    eccentricity and its smallest farthest node.
+
+    ``reach[p]`` is the set of batch sources (bit s - lo for source s)
+    within the current radius of the node at position p; by symmetry, bit
+    s - lo over all positions is the reach set of s. A round ORs every
+    entry with its neighbours' entries of the round before, so the number
+    of rounds until every entry is full is the largest eccentricity. The
+    witness is read off the state before the last round: its source is the
+    lowest bit still missing somewhere, its far end the lowest key index
+    missing that bit.
+    """
+    n = len(order)
+    full = (1 << (hi - lo)) - 1
+    reach = [0] * n
+    for s in range(lo, hi):
+        reach[pos[s]] = 1 << (s - lo)
+    if reach.count(full) == n:  # a single-node component
+        return 0, lo, lo
+    rounds = 0
+    while True:
+        prev, reach = reach, reach[:]
+        get = prev.__getitem__
+        for col in cols:
+            reach[: len(col)] = map(or_, reach, map(get, col))
+        rounds += 1
+        if reach.count(full) == n:
+            break
+    missing = full & ~reduce(and_, prev)
+    bit = (missing & -missing).bit_length() - 1
+    far = min(order[p] for p, m in enumerate(prev) if not m >> bit & 1)
+    return rounds, lo + bit, far
 
 
 def component_diameter(
     comp: ConfigComponent,
 ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exact diameter via BFS from every node, with a deterministic witness
-    pair (lexicographically first by key). Refuses capped components."""
+    """Exact diameter with a deterministic witness pair: the smallest-key
+    source of largest eccentricity and its smallest-key farthest node.
+    Refuses capped components.
+
+    All sources run at once as bit-parallel reach sets, in batches of
+    ``_BATCH`` sources (see ``_batch_eccentricity``): each round grows
+    every set by one BFS layer, and the rounds until all are full give the
+    batch's largest eccentricity. A later batch replaces the best only
+    with a strictly larger one. For a component of N nodes a batch's reach
+    sets hold N x ``_BATCH`` bits, two generations of them during a round.
+    """
     if comp.capped:
         raise NodeCapExceeded("cannot compute an exact diameter of a capped component")
     if comp._diameter is not None:
         d, u, v = comp._diameter
         return d, (u, v)
-    adj = component_adjacency(comp)
-    keys = sorted(comp.dist)
-    best = -1
-    best_pair = (keys[0], keys[0])
-    for src in keys:
-        seen = {src: 0}
-        queue = [src]
-        head = 0
-        far_key, far_d = src, 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
-            d = seen[cur]
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen[nxt] = d + 1
-                    queue.append(nxt)
-                    if d + 1 > far_d or (d + 1 == far_d and nxt < far_key):
-                        far_d, far_key = d + 1, nxt
-        if far_d > best:
-            best = far_d
-            best_pair = (src, far_key)
-    u = decode_key(best_pair[0], comp.k)
-    v = decode_key(best_pair[1], comp.k)
-    comp._diameter = (best, u, v)
-    return best, (u, v)
+    keys, rows = _indexed_adjacency(comp)
+    # Positions order the nodes by descending degree, so the nodes with a
+    # j-th neighbour form a prefix and a round ORs in one slice per j.
+    order = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    cols: list[list[int]] = []
+    for i in order:
+        for j, u in enumerate(rows[i]):
+            if j == len(cols):
+                cols.append([])
+            cols[j].append(pos[u])
+    best = (-1, 0, 0)
+    for lo in range(0, len(keys), _BATCH):
+        found = _batch_eccentricity(cols, pos, order, lo, min(lo + _BATCH, len(keys)))
+        if found[0] > best[0]:
+            best = found
+    d, src, far = best
+    u = decode_key(keys[src], comp.k)
+    v = decode_key(keys[far], comp.k)
+    comp._diameter = (d, u, v)
+    return d, (u, v)
 
 
 def enumerate_components(
@@ -419,6 +484,19 @@ class DiameterReport:
     witness_to: Optional[tuple[int, ...]]
     capped: bool
     reason: Optional[str] = None
+    # configuration nodes reached over all components; not part of the JSON
+    explored: int = 0
+
+    def exact(self, caller: str, node_cap: int) -> "DiameterReport":
+        """This report, or NodeCapExceeded naming ``caller`` when the node
+        cap cut the exploration short, so that no lower bound passes for
+        an exact diameter."""
+        if self.capped:
+            raise NodeCapExceeded(
+                f"{caller}: node cap {node_cap} reached after {self.explored} "
+                "configuration nodes"
+            )
+        return self
 
     def to_json(self) -> dict:
         out = {
@@ -449,6 +527,7 @@ def max_component_diameter(
             g.n, k, rule, None, None, None, None, False, reason="no independent set"
         )
     capped = any(c.capped for c in comps)
+    explored = sum(c.size for c in comps)
     best = None
     for comp in comps:
         if comp.capped:
@@ -458,6 +537,6 @@ def max_component_diameter(
             best = (d, u, v, comp.size)
     if best is None:
         return DiameterReport(g.n, k, rule, None, None, None, None, True,
-                              reason="all components capped")
+                              reason="all components capped", explored=explored)
     d, u, v, size = best
-    return DiameterReport(g.n, k, rule, size, d, u, v, capped)
+    return DiameterReport(g.n, k, rule, size, d, u, v, capped, explored=explored)

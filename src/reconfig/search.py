@@ -139,8 +139,56 @@ def nonisomorphic_masks(n: int) -> list[int]:
     return reps
 
 
+# Cache entries carry this format number and are re-verified on load.
+_CACHE_FORMAT = 2
+
+
 def _cache_path(cache_dir: str, n: int, k: int, rule: str) -> str:
     return os.path.join(cache_dir, f"exhaustive_n{n}_k{k}_{rule}.json")
+
+
+def _class_diameter(
+    g: Graph, k: int, rule: str, node_cap: int, caller: str
+) -> Optional[int]:
+    rep = engine.max_component_diameter(g, k, rule, node_cap)
+    return rep.exact(caller, node_cap).diameter
+
+
+def _load_cached(
+    path: str, n: int, k: int, rule: str, node_cap: int
+) -> Optional[SearchResult]:
+    """The cached result at ``path`` if it has the current format and its
+    witness re-verifies; None otherwise, so the caller recomputes."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(data, dict) or data.get("format") != _CACHE_FORMAT:
+        return None
+    best = data.get("best_diameter")
+    masks = data.get("best_masks")
+    witness = data.get("witness_edges")
+    if best is None:
+        # only k > n leaves every n-vertex graph without an independent k-set
+        ok = k > n and masks == [] and witness is None
+    elif masks and isinstance(masks[0], int):
+        wg = mask_to_graph(n, masks[0])
+        ok = (
+            _class_diameter(wg, k, rule, node_cap, "exhaustive_search") == best
+            and [list(e) for e in wg.edges()] == witness
+        )
+    else:
+        ok = False
+    if not ok:
+        return None
+    return SearchResult(
+        n, k, rule, best,
+        [tuple(e) for e in witness] if witness is not None else None,
+        True,
+        classes_examined=data.get("classes_examined"),
+        best_masks=masks,
+    )
 
 
 def exhaustive_search(
@@ -155,41 +203,30 @@ def exhaustive_search(
 
     ``best_masks`` lists the representatives achieving the optimum, so
     uniqueness up to isomorphism is checkable. Results are memoized in
-    ``cache_dir`` when given.
+    ``cache_dir`` when given; a cached entry is used only after its witness
+    re-verifies. Raises NodeCapExceeded when the cap cuts any class short.
     """
     if cache_dir:
-        path = _cache_path(cache_dir, n, k, rule)
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            return SearchResult(
-                n, k, rule,
-                data["best_diameter"],
-                [tuple(e) for e in data["witness_edges"]]
-                if data["witness_edges"] is not None else None,
-                True,
-                classes_examined=data["classes_examined"],
-                best_masks=data["best_masks"],
-            )
+        cached = _load_cached(_cache_path(cache_dir, n, k, rule), n, k, rule, node_cap)
+        if cached is not None:
+            return cached
     reps = nonisomorphic_masks(n)
     best: Optional[int] = None
     best_masks: list[int] = []
     for mask in reps:
-        g = mask_to_graph(n, mask)
-        rep = engine.max_component_diameter(g, k, rule, node_cap)
-        if rep.diameter is None:
+        d = _class_diameter(mask_to_graph(n, mask), k, rule, node_cap, "exhaustive_search")
+        if d is None:
             continue
-        if best is None or rep.diameter > best:
-            best = rep.diameter
+        if best is None or d > best:
+            best = d
             best_masks = [mask]
-        elif rep.diameter == best:
+        elif d == best:
             best_masks.append(mask)
     witness = None
     if best is not None:
         wg = mask_to_graph(n, best_masks[0])
         # re-verify the witness before emitting it
-        check = engine.max_component_diameter(wg, k, rule, node_cap)
-        if check.diameter != best:
+        if _class_diameter(wg, k, rule, node_cap, "exhaustive_search") != best:
             raise AssertionError("witness failed re-verification")
         witness = list(wg.edges())
     result = SearchResult(
@@ -199,7 +236,7 @@ def exhaustive_search(
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         with open(_cache_path(cache_dir, n, k, rule), "w") as fh:
-            json.dump(result.to_json(), fh)
+            json.dump({**result.to_json(), "format": _CACHE_FORMAT}, fh)
     return result
 
 
@@ -219,6 +256,18 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return mask_to_graph(n, mask)
 
 
+def _random_trials(job) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """(diameter, edges) of the first best graph among trials lo..hi-1."""
+    n, k, rule, seed, lo, hi, node_cap = job
+    best = None
+    for trial in range(lo, hi):
+        g = _random_graph(random.Random(f"{seed}:{trial}"), n)
+        d = _class_diameter(g, k, rule, node_cap, "random_search")
+        if d is not None and (best is None or d > best[0]):
+            best = (d, list(g.edges()))
+    return best
+
+
 def random_search(
     n: int,
     k: int,
@@ -226,19 +275,28 @@ def random_search(
     trials: int = 100,
     seed: int = 0,
     node_cap: int = DEFAULT_NODE_CAP,
+    workers: int = 1,
 ) -> SearchResult:
-    """Sampled lower bound on the best diameter; deterministic per seed."""
-    rng = random.Random(seed)
-    best: Optional[int] = None
-    witness = None
-    for _ in range(trials):
-        g = _random_graph(rng, n)
-        rep = engine.max_component_diameter(g, k, rule, node_cap)
-        if rep.diameter is None:
-            continue
-        if best is None or rep.diameter > best:
-            best = rep.diameter
-            witness = list(g.edges())
-    return SearchResult(
-        n, k, rule, best, witness, False, trials=trials, seed=seed
-    )
+    """Sampled lower bound on the best diameter, deterministic per seed.
+
+    Trial t draws its graph from its own RNG, seeded by ``(seed, t)``, and
+    ties go to the lowest trial, so the result does not depend on
+    ``workers``, the number of processes the trials are split over. Raises
+    NodeCapExceeded when the cap cuts a trial short.
+    """
+    workers = max(1, min(workers, trials))
+    bounds = [trials * i // workers for i in range(workers + 1)]
+    jobs = [(n, k, rule, seed, lo, hi, node_cap) for lo, hi in zip(bounds, bounds[1:])]
+    if workers > 1:
+        import multiprocessing as mp
+
+        with mp.get_context("spawn").Pool(workers) as pool:
+            parts = pool.map(_random_trials, jobs)
+    else:
+        parts = [_random_trials(job) for job in jobs]
+    best = None
+    for part in parts:  # ascending trials, so ties keep the lowest
+        if part is not None and (best is None or part[0] > best[0]):
+            best = part
+    d, witness = best if best else (None, None)
+    return SearchResult(n, k, rule, d, witness, False, trials=trials, seed=seed)

@@ -165,8 +165,14 @@ def saturate_to_path(
 
     At the fixpoint no edge can be added without losing diameter, and the
     configuration graph of the result is a single path of that diameter.
+    Raises NodeCapExceeded when the cap cuts any diameter short.
     """
-    target = engine.max_component_diameter(g, 3, TJ, node_cap).diameter
+
+    def diameter(h: Graph) -> Optional[int]:
+        rep = engine.max_component_diameter(h, 3, TJ, node_cap)
+        return rep.exact("saturate_to_path", node_cap).diameter
+
+    target = diameter(g)
     changed = True
     while changed:
         changed = False
@@ -175,7 +181,7 @@ def saturate_to_path(
                 if g.adj[u] >> v & 1:
                     continue
                 h = g.with_edge(u, v)
-                if engine.max_component_diameter(h, 3, TJ, node_cap).diameter == target:
+                if diameter(h) == target:
                     g = h
                     changed = True
     return g

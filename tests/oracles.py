@@ -145,3 +145,44 @@ def random_graph(rng, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def config_key_order(s):
+    """Sort key of a k-set in the engine's key order. Keys pack the
+    ascending vertices into 16-bit fields, smallest vertex lowest, so
+    numeric order compares the largest vertex first."""
+    return tuple(reversed(s))
+
+
+def brute_component_diameters(g: Graph, k: int, rule: str = TJ):
+    """(diameter, witness_from, witness_to) of the largest component
+    diameter, or None without an independent k-set, by BFS from every node
+    of the explicit configuration graph.
+
+    Tie-break, as documented for the engine: components in order of their
+    smallest key, the first of largest diameter; inside it, the
+    smallest-key source of largest eccentricity and its smallest-key
+    farthest node.
+    """
+    _, adj = explicit_config_graph(g, k, rule)
+    best = None
+    comps = sorted(explicit_components(g, k, rule),
+                   key=lambda c: min(map(config_key_order, c)))
+    for comp in comps:
+        comp_best = None
+        for src in sorted(comp, key=config_key_order):
+            dist = {src: 0}
+            queue = deque([src])
+            while queue:
+                cur = queue.popleft()
+                for nxt in adj[cur]:
+                    if nxt not in dist:
+                        dist[nxt] = dist[cur] + 1
+                        queue.append(nxt)
+            ecc = max(dist.values())
+            far = min((s for s, d in dist.items() if d == ecc), key=config_key_order)
+            if comp_best is None or ecc > comp_best[0]:
+                comp_best = (ecc, src, far)
+        if best is None or comp_best[0] > best[0]:
+            best = comp_best
+    return best

@@ -1,10 +1,13 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_component_diameters,
     explicit_components,
     explicit_config_graph,
     explicit_distance,
@@ -276,3 +279,67 @@ def test_unknown_rule_rejected():
         E.neighbors(Graph.empty(3), (0,), "tar")
     with pytest.raises(GraphError):
         E.distance(Graph.empty(3), 1, (0,), (1,), "walk")
+
+
+@st.composite
+def small_instances(draw):
+    """(graph on at most 9 vertices, k in 1..3, rule)."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    return g, draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from((TJ, TS)))
+
+
+def _two_paths_complement():
+    # R_2 is two 3-node paths of equal diameter: a tie between components
+    return complement(Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]))
+
+
+ORACLE_EXAMPLES = [
+    (Graph.empty(1), 1, TJ),  # a single node
+    (Graph.from_edges(3, [(0, 1)]), 1, TS),  # components of 2 nodes and 1 node
+    (Graph.complete(4), 1, TS),  # one component, every pair adjacent
+    (_two_paths_complement(), 2, TJ),
+    (_two_paths_complement(), 2, TS),
+    (Graph.complete(3), 2, TJ),  # no independent set
+]
+
+
+def _assert_matches_oracle(g, k, rule):
+    rep = E.max_component_diameter(g, k, rule)
+    want = brute_component_diameters(g, k, rule)
+    got = None if rep.diameter is None else (rep.diameter, rep.witness_from, rep.witness_to)
+    assert got == want
+
+
+def _with_examples(test):
+    for case in ORACLE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@_with_examples
+@given(small_instances())
+@settings(max_examples=150, deadline=None)
+def test_diameters_match_brute_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+@_with_examples
+@given(small_instances())
+@settings(max_examples=100, deadline=None)
+def test_diameters_match_brute_oracle_small_batches(case):
+    # several batches per component, uneven last batch: the merge of
+    # batch results must keep the same witness
+    with mock.patch.object(E, "_BATCH", 3):
+        _assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("batch", [E._BATCH, 7])
+def test_diameter_empty12_k3_matches_brute_oracle(batch):
+    g = Graph.empty(12)
+    with mock.patch.object(E, "_BATCH", batch):
+        rep = E.max_component_diameter(g, 3)
+        assert rep.component_size == 220
+        _assert_matches_oracle(g, 3, TJ)

@@ -12,6 +12,7 @@ import reconfig
 from reconfig import cli
 from reconfig import search as S
 from reconfig.constructions import complement_path
+from reconfig.engine import NodeCapExceeded
 from reconfig.graph import canonical_form, write_graph
 
 
@@ -61,6 +62,42 @@ def test_exhaustive_cache_roundtrip(tmp_path):
     assert (tmp_path / "exhaustive_n5_k2_tj.json").exists()
     second = S.exhaustive_search(5, 2, cache_dir=str(tmp_path))
     assert first.to_json() == second.to_json()
+
+
+def test_exhaustive_cache_reverifies_entries(tmp_path):
+    # a planted entry with a wrong diameter is recomputed, not served
+    S.exhaustive_search(6, 2, cache_dir=str(tmp_path))
+    path = tmp_path / "exhaustive_n6_k2_tj.json"
+    data = json.loads(path.read_text())
+    assert data["best_diameter"] == 4
+    data["best_diameter"] = 3
+    path.write_text(json.dumps(data))
+    assert S.exhaustive_search(6, 2, cache_dir=str(tmp_path)).best_diameter == 4
+    # so is an entry whose witness edges are not those of its first mask
+    data = json.loads(path.read_text())
+    data["witness_edges"] = data["witness_edges"][1:]
+    path.write_text(json.dumps(data))
+    res = S.exhaustive_search(6, 2, cache_dir=str(tmp_path))
+    assert len(res.witness_edges) == len(data["witness_edges"]) + 1
+    # and an entry without the current format number, as a capped search
+    # wrote it before the cap refused
+    path.write_text(json.dumps({
+        "n": 6, "k": 2, "rule": "tj", "best_diameter": 3,
+        "witness_edges": [[0, 1]], "exhaustive": True, "classes_examined": 156,
+        "best_masks": [1], "trials": None, "seed": None,
+    }))
+    assert S.exhaustive_search(6, 2, cache_dir=str(tmp_path)).best_diameter == 4
+
+
+def test_exhaustive_search_refuses_at_cap(tmp_path):
+    with pytest.raises(NodeCapExceeded, match="exhaustive_search: node cap 4"):
+        S.exhaustive_search(6, 2, node_cap=4, cache_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
+def test_random_search_refuses_at_cap():
+    with pytest.raises(NodeCapExceeded, match="random_search: node cap 2"):
+        S.random_search(6, 2, trials=3, node_cap=2)
 
 
 def test_random_search_deterministic():
@@ -164,6 +201,16 @@ def test_cli_search(capsys):
                            "--exhaustive")
     assert code == 0
     assert json.loads(out)["best_diameter"] is None
+
+
+def test_cli_search_exhaustive_capped(capsys):
+    # the n = 6 optimum lies in a 5-node component, beyond a cap of 4: the
+    # search refuses instead of reporting a lower bound as exhaustive
+    code, out, err = run_cli(capsys, "--cap", "4", "search", "--n", "6",
+                             "--k", "2", "--exhaustive")
+    assert code == 3
+    assert json.loads(out)["capped"] is True
+    assert "exhaustive_search" in err
 
 
 def test_cli_search_cached(tmp_path, capsys, monkeypatch):
@@ -325,6 +372,18 @@ def test_cli_random_search_threads(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["trials"] == 8 and not data["exhaustive"]
+
+
+def test_cli_random_search_independent_of_threads(capsys):
+    for seed in range(5):
+        outs = []
+        for threads in ("1", "3"):
+            code, out, _ = run_cli(capsys, "--seed", str(seed), "--threads",
+                                   threads, "search", "--n", "7", "--k", "2",
+                                   "--random", "7")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def test_cli_apset_greedy(capsys):

@@ -7,7 +7,7 @@ from oracles import random_graph
 from reconfig import engine as E
 from reconfig import verify as V
 from reconfig.constructions import JunctionSpec, complement_path
-from reconfig.engine import TJ
+from reconfig.engine import TJ, NodeCapExceeded
 from reconfig.graph import Graph, GraphError, complement
 from reconfig.verify import Hypergraph3
 
@@ -108,6 +108,12 @@ def test_saturate_empty4():
             continue
         worse = E.max_component_diameter(g.with_edge(u, v), 3).diameter
         assert worse != 1
+
+
+def test_saturate_refuses_at_cap():
+    # Graph.empty(5) has C(5, 3) = 10 triples in one component
+    with pytest.raises(NodeCapExceeded, match="saturate_to_path: node cap 6"):
+        V.saturate_to_path(Graph.empty(5), node_cap=6)
 
 
 def test_saturate_preserves_existing_path(glued47):
