@@ -25,7 +25,7 @@ from .apsets import (
     odd_3ap_free,
 )
 from .engine import DEFAULT_NODE_CAP, TJ, TS, NodeCapExceeded
-from .graph import Graph, GraphError, read_graph, write_graph
+from .graph import GraphError, read_graph, write_graph
 
 EX_OK = 0
 EX_FAIL = 1
@@ -53,14 +53,6 @@ def _parse_vertices(text: str) -> tuple[int, ...]:
         raise GraphError(f"expected comma-separated vertex ids, got {text!r}")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return _parse_vertices(text)
-
-
-def _load_graph(path: str, fmt: str) -> Graph:
-    return read_graph(path, fmt)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -69,9 +61,9 @@ def _cmd_construct(args) -> int:
     if name == "comp-path":
         g, report = constructions.complement_path(args.n)
     elif name == "circulant":
-        g, report = constructions.circulant_ap_graph(args.p, _parse_ints(args.s))
+        g, report = constructions.circulant_ap_graph(args.p, _parse_vertices(args.s))
     elif name == "toll":
-        base = _load_graph(args.graph, args.format)
+        base = read_graph(args.graph, args.format)
         g, report = constructions.toll_booth_extend(
             base, args.k, _parse_vertices(args.frm), _parse_vertices(args.to),
             args.n, node_cap=args.cap,
@@ -81,7 +73,7 @@ def _cmd_construct(args) -> int:
             args.steps, args.per_step_n, args.base_path_n, node_cap=args.cap
         )
     elif name == "triple":
-        base = _load_graph(args.graph, args.format)
+        base = read_graph(args.graph, args.format)
         g, report = constructions.triple_extend(
             base, args.k, _parse_vertices(args.frm), _parse_vertices(args.to),
             args.p, node_cap=args.cap,
@@ -110,14 +102,14 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = read_graph(args.graph, args.format)
     report = engine.max_component_diameter(g, args.k, args.rule, args.cap)
     _emit(report.to_json())
     return EX_CAPPED if report.capped else EX_OK
 
 
 def _cmd_decide2(args) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = read_graph(args.graph, args.format)
     a = _parse_vertices(args.frm)
     b = _parse_vertices(args.to)
     out: dict = {"from": list(a), "to": list(b), "algo": args.algo}
@@ -166,11 +158,11 @@ def _cmd_verify(args) -> int:
     witness = None
     if check == "circulant-structure":
         ok, details = verify.check_circulant_structure(
-            args.p, _parse_ints(args.s), node_cap=args.cap
+            args.p, _parse_vertices(args.s), node_cap=args.cap
         )
         witness = details
     elif check == "63-free":
-        g, report = constructions.circulant_ap_graph(args.p, _parse_ints(args.s))
+        g, report = constructions.circulant_ap_graph(args.p, _parse_vertices(args.s))
         seq = engine.shortest_sequence(
             g, 3, report.start, report.target, TJ, args.cap
         )
@@ -183,11 +175,11 @@ def _cmd_verify(args) -> int:
             witness[parity] = {"edges": len(fam.edges), "witness": bad}
             ok = ok and free
     elif check == "config-path":
-        g = _load_graph(args.graph, args.format)
+        g = read_graph(args.graph, args.format)
         ok, reason = verify.is_config_path(g, args.k, args.rule, args.cap)
         witness = reason
     elif check == "upper-bound-map":
-        g = _load_graph(args.graph, args.format)
+        g = read_graph(args.graph, args.format)
         seq = engine.shortest_sequence(
             g, args.k, _parse_vertices(args.frm), _parse_vertices(args.to),
             args.rule, args.cap,
@@ -208,10 +200,14 @@ def _cmd_verify(args) -> int:
         ok, failures = verify.check_junction_windows(g, report.k, specs)
         witness = failures or None
     elif check == "saturate":
-        g = _load_graph(args.graph, args.format)
-        before = engine.max_component_diameter(g, 3, TJ, args.cap).diameter
+        g = read_graph(args.graph, args.format)
+        before = engine.max_component_diameter(g, 3, TJ, args.cap).exact(
+            "verify saturate", args.cap
+        ).diameter
         sat = verify.saturate_to_path(g, node_cap=args.cap)
-        after = engine.max_component_diameter(sat, 3, TJ, args.cap).diameter
+        after = engine.max_component_diameter(sat, 3, TJ, args.cap).exact(
+            "verify saturate", args.cap
+        ).diameter
         path_ok, reason = verify.is_config_path(sat, 3, TJ, args.cap)
         ok = path_ok and before == after
         witness = {"diameter_before": before, "diameter_after": after,

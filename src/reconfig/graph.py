@@ -12,6 +12,8 @@ import itertools
 import warnings
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "GraphError",
@@ -20,6 +22,7 @@ __all__ = [
     "is_clique",
     "independence_number",
     "canonical_form",
+    "pair_images",
     "parse_edge_list",
     "write_edge_list",
     "parse_graph6",
@@ -262,34 +265,47 @@ def _max_clique_size(rows: tuple[int, ...], n: int) -> int:
     return best
 
 
+def pair_images(n: int) -> np.ndarray:
+    """Image of every vertex pair under every vertex permutation.
+
+    Entry ``[p, i]`` is the index, in ``itertools.combinations(range(n), 2)``
+    order, of the image of pair i under the p-th permutation in
+    ``itertools.permutations(range(n))`` order; shape (n!, n(n-1)/2), uint16,
+    which keeps the temporaries small.
+    """
+    perms = np.zeros((1, 0), dtype=np.uint16)
+    for m in range(1, n + 1):
+        # the permutations of range(m) in lexicographic order: each first
+        # entry f, followed by those of range(m) without f, in order
+        perms = np.concatenate([
+            np.column_stack((np.full(len(perms), f, np.uint16), perms + (perms >= f)))
+            for f in range(m)
+        ])
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
+    us, vs = pairs.reshape(-1, 2).T
+    pos = np.zeros(n * n, dtype=np.uint16)
+    pos[us * n + vs] = pos[vs * n + us] = np.arange(len(us))
+    return pos[perms[:, us] * n + perms[:, vs]]
+
+
 def canonical_form(g: Graph, limit: int = 8) -> int:
     """Minimum edge bitmask over all vertex permutations.
 
+    Bit i of the mask is pair i of ``itertools.combinations(range(n), 2)``.
     Factorial cost; intended for the small-n exhaustive search and
     isomorphism checks on witnesses.
     """
     if g.n > limit:
         raise GraphError(f"canonical_form refused: n={g.n} exceeds limit {limit}")
-    pairs = list(itertools.combinations(range(g.n), 2))
-    pos = {p: i for i, p in enumerate(pairs)}
-    mask = 0
-    for i, (u, v) in enumerate(pairs):
-        if g.adj[u] >> v & 1:
-            mask |= 1 << i
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        m = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            u, v = pairs[i]
-            a, b = perm[u], perm[v]
-            m |= 1 << pos[(a, b) if a < b else (b, a)]
-        if best is None or m < best:
-            best = m
-    return best if best is not None else 0
+    bits = [
+        i
+        for i, (u, v) in enumerate(itertools.combinations(range(g.n), 2))
+        if g.adj[u] >> v & 1
+    ]
+    if not bits:
+        return 0
+    images = pair_images(g.n)[:, bits].astype(np.int64)
+    return int((np.int64(1) << images).sum(axis=1).min())
 
 
 # -- serialization ---------------------------------------------------------

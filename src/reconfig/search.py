@@ -1,11 +1,15 @@
 """Search over n-vertex graphs for the largest configuration-graph diameter.
 
 Exhaustive mode enumerates one representative per isomorphism class (n <= 7)
-by orbit-marking edge bitmasks under the full permutation action, using
-per-byte permutation tables; no external canonicalizer is involved, and the
-representative is the minimum mask of its orbit. Random mode samples
-Erdos-Renyi graphs at several densities plus perturbations of the
-complement-of-path construction, with recorded seeds.
+by orbit-marking edge bitmasks under the full permutation action; no
+external canonicalizer is involved, and the representative is the minimum
+mask of its orbit. The action is held in per-byte permutation tables, each
+built as one integer matmul of the bit-matrix of the byte's values with the
+``1 << image`` weights of the byte's pairs under every permutation, and the
+scan jumps from one representative to the next unmarked mask by an array
+search. Random mode samples Erdos-Renyi graphs at several densities
+plus perturbations of the complement-of-path construction, with recorded
+seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from . import engine
 from .constructions import complement_path
 from .engine import DEFAULT_NODE_CAP, TJ
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, pair_images
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -87,28 +91,26 @@ def graph_to_mask(g: Graph) -> int:
     return mask
 
 
-def _perm_byte_tables(n: int):
-    """Per-permutation lookup tables mapping each byte of an edge mask to its
-    permuted image, so one orbit element costs a few indexed ORs."""
-    pairs = edge_pairs(n)
-    nbits = len(pairs)
-    pos = {p: i for i, p in enumerate(pairs)}
-    perms = list(itertools.permutations(range(n)))
-    nbytes = (nbits + 7) // 8
-    tabs = np.zeros((len(perms), nbytes, 256), dtype=np.uint32)
-    for pi, perm in enumerate(perms):
-        bitmap = [0] * nbits
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            bitmap[i] = 1 << pos[(a, b) if a < b else (b, a)]
-        for byi in range(nbytes):
-            t = tabs[pi, byi]
-            base = byi * 8
-            for val in range(1, 256):
-                low = val & -val
-                bit = base + low.bit_length() - 1
-                t[val] = t[val & (val - 1)] | (bitmap[bit] if bit < nbits else 0)
-    return tabs, nbits, nbytes
+def _perm_byte_tables(n: int) -> list[np.ndarray]:
+    """Per-byte lookup tables of the permutation action on edge masks.
+
+    ``tabs[b][v, p]`` is the image under the p-th permutation of the mask
+    whose byte b is v and whose other bytes are 0, so one orbit element is
+    the OR of one table entry per byte. The table of a byte holding w pair
+    bits has 2**w rows and is one integer matmul of the bit-matrix of the
+    values below 2**w with the ``1 << image`` weights of those pairs: a
+    permutation maps distinct pairs to distinct pairs, so the image bits
+    never collide and the sum is the OR.
+    """
+    images = pair_images(n)
+    values = np.arange(256, dtype=np.uint32)
+    bits = (values[:, None] >> np.arange(8, dtype=np.uint32)) & 1
+    tabs = []
+    for lo in range(0, images.shape[1], 8):
+        weights = np.uint32(1) << images[:, lo : lo + 8].astype(np.uint32)
+        w = weights.shape[1]
+        tabs.append(bits[: 1 << w, :w] @ weights.T)
+    return tabs
 
 
 def nonisomorphic_masks(n: int) -> list[int]:
@@ -120,23 +122,21 @@ def nonisomorphic_masks(n: int) -> list[int]:
         )
     if n <= 1:
         return [0]
-    tabs, nbits, nbytes = _perm_byte_tables(n)
-    byte_tabs = [tabs[:, i, :] for i in range(nbytes)]
-    total = 1 << nbits
-    visited = np.zeros(total, dtype=bool)
+    tabs = _perm_byte_tables(n)
+    unvisited = np.ones(1 << (n * (n - 1) // 2), dtype=bool)
     reps = []
     m = 0
-    while m < total:
-        if visited[m]:
-            m += 1
-            continue
+    while True:
         reps.append(m)
-        orbit = byte_tabs[0][:, m & 0xFF].copy()
-        for i in range(1, nbytes):
-            orbit |= byte_tabs[i][:, (m >> (8 * i)) & 0xFF]
-        visited[orbit] = True
-        m += 1
-    return reps
+        orbit = tabs[0][m & 0xFF].copy()
+        for b in range(1, len(tabs)):
+            orbit |= tabs[b][(m >> (8 * b)) & 0xFF]
+        unvisited[orbit] = False
+        # the orbit holds m itself, so a zero step means nothing is left
+        step = int(unvisited[m:].argmax())
+        if step == 0:
+            return reps
+        m += step
 
 
 # Cache entries carry this format number and are re-verified on load.

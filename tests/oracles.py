@@ -9,6 +9,8 @@ slow but obviously correct code.
 import itertools
 from collections import deque
 
+import numpy as np
+
 from reconfig.engine import TJ, TS
 from reconfig.graph import Graph
 
@@ -186,3 +188,38 @@ def brute_component_diameters(g: Graph, k: int, rule: str = TJ):
         if best is None or comp_best[0] > best[0]:
             best = comp_best
     return best
+
+
+def brute_perm_byte_tables(n: int):
+    """Per-permutation lookup tables mapping each byte of an edge mask to its
+    permuted image, so one orbit element costs a few indexed ORs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    nbits = len(pairs)
+    pos = {p: i for i, p in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    nbytes = (nbits + 7) // 8
+    tabs = np.zeros((len(perms), nbytes, 256), dtype=np.uint32)
+    for pi, perm in enumerate(perms):
+        bitmap = [0] * nbits
+        for i, (u, v) in enumerate(pairs):
+            a, b = perm[u], perm[v]
+            bitmap[i] = 1 << pos[(a, b) if a < b else (b, a)]
+        for byi in range(nbytes):
+            t = tabs[pi, byi]
+            base = byi * 8
+            for val in range(1, 256):
+                low = val & -val
+                bit = base + low.bit_length() - 1
+                t[val] = t[val & (val - 1)] | (bitmap[bit] if bit < nbits else 0)
+    return tabs, nbits, nbytes
+
+
+def brute_canonical_form(g: Graph) -> int:
+    """Minimum edge bitmask, bit i for pair i of ``combinations(range(n),
+    2)``, over all relabelings of g, each built edge by edge."""
+    pos = {p: i for i, p in enumerate(itertools.combinations(range(g.n), 2))}
+    edges = list(g.edges())
+    return min(
+        sum(1 << pos[tuple(sorted((perm[u], perm[v])))] for u, v in edges)
+        for perm in itertools.permutations(range(g.n))
+    )

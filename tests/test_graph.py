@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_independence_number, random_graph
+from oracles import brute_canonical_form, brute_independence_number, random_graph
 from reconfig.graph import (
     Graph,
     GraphError,
@@ -175,6 +175,16 @@ def test_canonical_form_permutation_invariant():
         rng.shuffle(perm)
         h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert canonical_form(g) == canonical_form(h)
+
+
+def test_canonical_form_matches_brute_oracle():
+    rng = random.Random(11)
+    for n in (0, 1, 2, 3, 4, 5, 6, 7, 7, 8):
+        g = random_graph(rng, n, rng.random())
+        assert canonical_form(g) == brute_canonical_form(g)
+    assert canonical_form(Graph.empty(0)) == canonical_form(Graph.empty(1)) == 0
+    with pytest.raises(GraphError, match="exceeds limit 8"):
+        canonical_form(Graph.empty(9))
 
 
 def test_with_edge_and_relabel():

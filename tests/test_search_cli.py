@@ -6,14 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import brute_perm_byte_tables
 import reconfig
 from reconfig import cli
 from reconfig import search as S
 from reconfig.constructions import complement_path
 from reconfig.engine import NodeCapExceeded
-from reconfig.graph import canonical_form, write_graph
+from reconfig.graph import Graph, canonical_form, write_graph
 
 
 def test_nonisomorphic_class_counts():
@@ -27,6 +29,29 @@ def test_reps_are_canonical_minima():
         g = S.mask_to_graph(5, rep)
         assert canonical_form(g) == rep
         assert S.graph_to_mask(g) == rep
+
+
+def test_perm_byte_tables_match_brute_oracle():
+    # a byte with w < 8 pair bits gets 2**w rows: values with higher bits
+    # set are not edge masks
+    for n in range(2, 8):
+        want, nbits, nbytes = brute_perm_byte_tables(n)
+        got = S._perm_byte_tables(n)
+        assert len(got) == nbytes
+        for b, tab in enumerate(got):
+            rows = 1 << min(8, nbits - 8 * b)
+            assert tab.dtype == np.uint32 and tab.shape == (rows, len(want))
+            assert np.array_equal(tab.T, want[:, b, :rows])
+
+
+def test_every_rep_is_its_orbit_minimum():
+    census = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+    for n, count in census.items():
+        reps = S.nonisomorphic_masks(n)
+        assert len(reps) == count
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        for rep in reps:
+            assert canonical_form(S.mask_to_graph(n, rep)) == rep
 
 
 def test_exhaustive_limit():
@@ -211,6 +236,17 @@ def test_cli_search_exhaustive_capped(capsys):
     assert code == 3
     assert json.loads(out)["capped"] is True
     assert "exhaustive_search" in err
+
+
+def test_cli_verify_saturate_capped(tmp_path, capsys):
+    # the empty 5-vertex graph has C(5, 3) = 10 three-token configurations,
+    # beyond a cap of 6: no capped diameter is compared as exact
+    path = str(tmp_path / "e5.edges")
+    write_graph(Graph.empty(5), path)
+    code, out, err = run_cli(capsys, "--cap", "6", "verify", "saturate", path)
+    assert code == 3
+    assert json.loads(out)["capped"] is True
+    assert "verify saturate: node cap 6" in err
 
 
 def test_cli_search_cached(tmp_path, capsys, monkeypatch):
