@@ -2,16 +2,26 @@
 
 Nodes are independent sets of fixed size k; two sets are adjacent when one
 token moves: to any vertex under the jump rule ("tj"), or only along an
-edge of the host graph under the slide rule ("ts"). Components are explored
-by BFS over canonical integer keys without ever materializing the full
-configuration graph.
+edge of the host graph under the slide rule ("ts"). The configuration graph
+is never materialized; one exploration core serves every query:
+
+- ``_neighbor_keys`` turns a canonical key into its neighbours' keys by
+  arithmetic on the 16-bit fields: drop the moved token's field, insert
+  the new vertex's field at its rank.
+- ``_bfs`` is the one single-source BFS, with the node cap, an optional
+  goal key (checked before the cap) and optional neighbour rows.
+  ``bfs_component`` and ``enumerate_components`` keep each node's row on
+  the ``ConfigComponent``; ``distance`` runs it to the goal, and
+  ``shortest_sequence`` runs it from the target and walks downhill from
+  the source to the smallest neighbour key; neither keeps rows.
 
 Exact diameters come from one all-sources core, ``component_diameter``:
 the component's nodes are indexed in ascending key order and every source
 keeps a bit-parallel reach set, grown by one BFS layer per round by ORing
 neighbours' sets, until all sets are full. The round count is the
 diameter and the witness pair is read off the last round, so no single-
-source search runs. Sources go in batches of ``_BATCH``, so a component of
+source search runs. It indexes the rows the BFS stored, so no neighbour
+is generated twice. Sources go in batches of ``_BATCH``, so a component of
 N nodes holds N x ``_BATCH`` bits of reach sets per round.
 
 All functions are pure and read-only on the host Graph, so separate
@@ -108,10 +118,22 @@ def neighbors(g: Graph, vertices: Iterable[int], rule: str = TJ) -> list[tuple[i
     """All independent sets reachable in one move, ascending key order."""
     _check_rule(rule)
     vs = _checked_set(g, vertices)
-    return sorted(_raw_neighbors(g, vs, rule), key=encode_key)
+    k = len(vs)
+    return [decode_key(key, k) for key in sorted(_neighbor_keys(g, k, rule, encode_key(vs)))]
 
 
-def _raw_neighbors(g: Graph, vs: tuple[int, ...], rule: str) -> Iterator[tuple[int, ...]]:
+def _neighbor_keys(g: Graph, k: int, rule: str, key: int) -> Iterator[int]:
+    """Keys of the sets one move away from the set of ``key``, token by
+    token in ascending vertex order, each token's new vertices ascending.
+
+    A neighbour's key is ``key`` with the moved token's field dropped and
+    the new vertex's field inserted at its rank among the kept tokens, so
+    no vertex tuple is built or sorted.
+    """
+    if g.n > 1 << KEY_BITS:
+        raise GraphError(f"n={g.n} exceeds the {KEY_BITS}-bit key width")
+    adj = g.adj
+    vs = [(key >> (KEY_BITS * i)) & _KEY_MASK for i in range(k)]
     full = (1 << g.n) - 1
     occupied = 0
     for v in vs:
@@ -120,17 +142,27 @@ def _raw_neighbors(g: Graph, vs: tuple[int, ...], rule: str) -> Iterator[tuple[i
         forb = occupied
         for j, w in enumerate(vs):
             if j != i:
-                forb |= g.adj[w]
+                forb |= adj[w]
         cand = full & ~forb
         if rule == TS:
-            cand &= g.adj[u]
-        rest = vs[:i] + vs[i + 1 :]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            yield tuple(sorted(rest + (v,)))
-    return
+            cand &= adj[u]
+        if not cand:
+            continue
+        shift = KEY_BITS * i
+        rest = (key & ((1 << shift) - 1)) | (key >> (shift + KEY_BITS) << shift)
+        # the new vertices below the r-th kept token (all that are left at
+        # the sentinel g.n) land at rank r
+        for r, bound in enumerate(vs[:i] + vs[i + 1 :] + [g.n]):
+            part = cand & ((1 << bound) - 1)
+            if not part:
+                continue
+            cand ^= part
+            at = KEY_BITS * r
+            base = (rest & ((1 << at) - 1)) | (rest >> at << (at + KEY_BITS))
+            while part:
+                low = part & -part
+                part ^= low
+                yield base | ((low.bit_length() - 1) << at)
 
 
 def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
@@ -165,9 +197,11 @@ def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
 class ConfigComponent:
     """One connected component of the configuration graph.
 
-    ``dist`` maps canonical keys to BFS distance from ``start``. When
-    ``capped`` is set the exploration was cut off at the node cap and the
-    component is only partially known; exact queries refuse such inputs.
+    ``dist`` maps canonical keys to BFS distance from ``start``, in BFS
+    order, and ``rows`` holds, in the same order, the neighbour keys of
+    every node the BFS expanded. When ``capped`` is set the exploration was
+    cut off at the node cap and the component is only partially known;
+    exact queries refuse such inputs.
     """
 
     graph: Graph
@@ -176,6 +210,7 @@ class ConfigComponent:
     start: tuple[int, ...]
     dist: dict[int, int]
     capped: bool = False
+    rows: list[list[int]] = field(default_factory=list, repr=False)
     _diameter: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
         default=None, repr=False
     )
@@ -186,6 +221,51 @@ class ConfigComponent:
 
     def __contains__(self, key: int) -> bool:
         return key in self.dist
+
+
+def _bfs(
+    g: Graph,
+    k: int,
+    rule: str,
+    start: int,
+    node_cap: int,
+    goal: Optional[int] = None,
+    rows: Optional[list[list[int]]] = None,
+) -> tuple[dict[int, int], bool]:
+    """BFS from the key ``start``: (distance by key in BFS order, capped).
+
+    A new key equal to ``goal`` is recorded and ends the search; any other
+    new key met when ``node_cap`` keys are already recorded caps it. The
+    start always counts, so a component of s nodes is capped iff
+    s > max(node_cap, 1). With ``rows``, each expanded node's neighbour
+    keys are appended to it in BFS order.
+    """
+    dist = {start: 0}
+    if start == goal:
+        return dist, False
+    queue = [start]
+    for key in queue:  # the queue grows while it is read
+        d = dist[key] + 1
+        row = list(_neighbor_keys(g, k, rule, key))
+        if rows is not None:
+            rows.append(row)
+        for nxt in row:
+            if nxt in dist:
+                continue
+            if nxt == goal:
+                dist[nxt] = d
+                return dist, False
+            if len(dist) >= node_cap:
+                return dist, True
+            dist[nxt] = d
+            queue.append(nxt)
+    return dist, False
+
+
+def _component(g: Graph, k: int, rule: str, vs: tuple[int, ...], node_cap: int) -> ConfigComponent:
+    rows: list[list[int]] = []
+    dist, capped = _bfs(g, k, rule, encode_key(vs), node_cap, rows=rows)
+    return ConfigComponent(g, k, rule, vs, dist, capped, rows)
 
 
 def bfs_component(
@@ -200,27 +280,7 @@ def bfs_component(
     A capped result is explicit (``capped=True``), never a silent truncation.
     """
     _check_rule(rule)
-    vs = _checked_set(g, start, k)
-    dist = {encode_key(vs): 0}
-    queue = [vs]
-    capped = False
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        d = dist[encode_key(cur)]
-        for nxt in _raw_neighbors(g, cur, rule):
-            key = encode_key(nxt)
-            if key not in dist:
-                if len(dist) >= node_cap:
-                    capped = True
-                    queue.clear()
-                    break
-                dist[key] = d + 1
-                queue.append(nxt)
-        if capped:
-            break
-    return ConfigComponent(g, k, rule, vs, dist, capped)
+    return _component(g, k, rule, _checked_set(g, start, k), node_cap)
 
 
 def distance(
@@ -236,29 +296,11 @@ def distance(
     _check_rule(rule)
     a = _checked_set(g, frm, k)
     b = _checked_set(g, to, k)
-    target = encode_key(b)
-    dist = {encode_key(a): 0}
-    if target in dist:
-        return 0
-    queue = [a]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        d = dist[encode_key(cur)]
-        for nxt in _raw_neighbors(g, cur, rule):
-            key = encode_key(nxt)
-            if key in dist:
-                continue
-            if key == target:
-                return d + 1
-            if len(dist) >= node_cap:
-                raise NodeCapExceeded(
-                    f"node cap {node_cap} reached before {b} was found"
-                )
-            dist[key] = d + 1
-            queue.append(nxt)
-    return None
+    bkey = encode_key(b)
+    dist, capped = _bfs(g, k, rule, encode_key(a), node_cap, goal=bkey)
+    if capped:
+        raise NodeCapExceeded(f"node cap {node_cap} reached before {b} was found")
+    return dist.get(bkey)
 
 
 def shortest_sequence(
@@ -277,44 +319,19 @@ def shortest_sequence(
     _check_rule(rule)
     a = _checked_set(g, frm, k)
     b = _checked_set(g, to, k)
-    akey, bkey = encode_key(a), encode_key(b)
-    # BFS from the target, then walk downhill from the source.
-    dist = {bkey: 0}
-    queue = [b]
-    head = 0
-    found = akey == bkey
-    while head < len(queue) and not found:
-        cur = queue[head]
-        head += 1
-        d = dist[encode_key(cur)]
-        for nxt in _raw_neighbors(g, cur, rule):
-            key = encode_key(nxt)
-            if key in dist:
-                continue
-            if len(dist) >= node_cap:
-                raise NodeCapExceeded(
-                    f"node cap {node_cap} reached before {a} was found"
-                )
-            dist[key] = d + 1
-            queue.append(nxt)
-            if key == akey:
-                found = True
-    if not found:
+    akey = encode_key(a)
+    # BFS from the target, then walk downhill from the source: every node
+    # closer to the target than the source was recorded before it.
+    dist, capped = _bfs(g, k, rule, encode_key(b), node_cap, goal=akey)
+    if capped:
+        raise NodeCapExceeded(f"node cap {node_cap} reached before {a} was found")
+    if akey not in dist:
         return None
     seq = [a]
-    cur = a
-    d = dist[akey]
-    while d > 0:
-        step = min(
-            (
-                (encode_key(nxt), nxt)
-                for nxt in _raw_neighbors(g, cur, rule)
-                if dist.get(encode_key(nxt)) == d - 1
-            ),
-        )
-        cur = step[1]
-        seq.append(cur)
-        d -= 1
+    cur = akey
+    for d in range(dist[akey] - 1, -1, -1):
+        cur = min(nxt for nxt in _neighbor_keys(g, k, rule, cur) if dist.get(nxt) == d)
+        seq.append(decode_key(cur, k))
     return seq
 
 
@@ -337,27 +354,12 @@ def validate_sequence(g: Graph, seq: list[tuple[int, ...]], rule: str = TJ) -> N
                 raise GraphError(f"slide {u} -> {v} is not along an edge")
 
 
-def _indexed_adjacency(comp: ConfigComponent) -> tuple[list[int], list[list[int]]]:
-    """The component's keys ascending, and for each key the ascending
-    indices (into that list) of its neighbours inside the component."""
-    keys = sorted(comp.dist)
-    index = {key: i for i, key in enumerate(keys)}
-    rows = []
-    for key in keys:
-        row = []
-        for nxt in _raw_neighbors(comp.graph, decode_key(key, comp.k), comp.rule):
-            j = index.get(encode_key(nxt))
-            if j is not None:
-                row.append(j)
-        row.sort()
-        rows.append(row)
-    return keys, rows
-
-
 def component_adjacency(comp: ConfigComponent) -> dict[int, list[int]]:
-    """Materialized adjacency (key -> sorted neighbor keys) of a component."""
-    keys, rows = _indexed_adjacency(comp)
-    return {key: [keys[j] for j in row] for key, row in zip(keys, rows)}
+    """Materialized adjacency (key -> sorted neighbor keys) of a component.
+    Refuses capped components."""
+    if comp.capped:
+        raise NodeCapExceeded("cannot list the adjacency of a capped component")
+    return {key: sorted(row) for key, row in sorted(zip(comp.dist, comp.rows))}
 
 
 def _batch_eccentricity(
@@ -417,19 +419,21 @@ def component_diameter(
     if comp._diameter is not None:
         d, u, v = comp._diameter
         return d, (u, v)
-    keys, rows = _indexed_adjacency(comp)
+    keys = sorted(comp.dist)
+    index = {key: i for i, key in enumerate(keys)}
     # Positions order the nodes by descending degree, so the nodes with a
     # j-th neighbour form a prefix and a round ORs in one slice per j.
-    order = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
+    nodes = sorted(zip(comp.dist, comp.rows), key=lambda node: -len(node[1]))
+    order = [index[key] for key, _ in nodes]
     pos = [0] * len(order)
     for p, i in enumerate(order):
         pos[i] = p
     cols: list[list[int]] = []
-    for i in order:
-        for j, u in enumerate(rows[i]):
+    for _, row in nodes:
+        for j, u in enumerate(row):
             if j == len(cols):
                 cols.append([])
-            cols[j].append(pos[u])
+            cols[j].append(pos[index[u]])
     best = (-1, 0, 0)
     for lo in range(0, len(keys), _BATCH):
         found = _batch_eccentricity(cols, pos, order, lo, min(lo + _BATCH, len(keys)))
@@ -462,7 +466,7 @@ def enumerate_components(
         key = encode_key(vs)
         if key in assigned:
             continue
-        comp = bfs_component(g, k, vs, rule, node_cap=max(budget, 0))
+        comp = _component(g, k, rule, vs, max(budget, 0))
         comps.append(comp)
         assigned.update(comp.dist)
         budget -= comp.size

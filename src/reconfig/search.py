@@ -4,12 +4,11 @@ Exhaustive mode enumerates one representative per isomorphism class (n <= 7)
 by orbit-marking edge bitmasks under the full permutation action; no
 external canonicalizer is involved, and the representative is the minimum
 mask of its orbit. The action is held in per-byte permutation tables, each
-built as one integer matmul of the bit-matrix of the byte's values with the
-``1 << image`` weights of the byte's pairs under every permutation, and the
-scan jumps from one representative to the next unmarked mask by an array
-search. Random mode samples Erdos-Renyi graphs at several densities
-plus perturbations of the complement-of-path construction, with recorded
-seeds.
+filled by doubling from the ``1 << image`` weights of the byte's pairs under
+every permutation, and the scan jumps from one representative to the next
+unmarked mask by an array search. Random mode samples Erdos-Renyi graphs at
+several densities plus perturbations of the complement-of-path
+construction, with recorded seeds.
 """
 
 from __future__ import annotations
@@ -97,19 +96,18 @@ def _perm_byte_tables(n: int) -> list[np.ndarray]:
     ``tabs[b][v, p]`` is the image under the p-th permutation of the mask
     whose byte b is v and whose other bytes are 0, so one orbit element is
     the OR of one table entry per byte. The table of a byte holding w pair
-    bits has 2**w rows and is one integer matmul of the bit-matrix of the
-    values below 2**w with the ``1 << image`` weights of those pairs: a
-    permutation maps distinct pairs to distinct pairs, so the image bits
-    never collide and the sum is the OR.
+    bits has 2**w rows, filled by doubling: the rows with bit j set are
+    the rows below 2**j ORed with the ``1 << image`` weight of pair bit j.
     """
     images = pair_images(n)
-    values = np.arange(256, dtype=np.uint32)
-    bits = (values[:, None] >> np.arange(8, dtype=np.uint32)) & 1
     tabs = []
     for lo in range(0, images.shape[1], 8):
         weights = np.uint32(1) << images[:, lo : lo + 8].astype(np.uint32)
         w = weights.shape[1]
-        tabs.append(bits[: 1 << w, :w] @ weights.T)
+        tab = np.zeros((1 << w, len(weights)), dtype=np.uint32)
+        for j in range(w):
+            tab[1 << j : 2 << j] = tab[: 1 << j] | weights[:, j]
+        tabs.append(tab)
     return tabs
 
 

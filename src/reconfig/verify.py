@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import engine
 from .constructions import JunctionSpec, circulant_ap_graph, circulant_paths
@@ -141,19 +141,24 @@ def is_config_path(
         return False, "empty"
     if len(comps) > 1:
         return False, f"disconnected ({len(comps)} components)"
-    comp = comps[0]
+    defect = _path_defect(comps[0])
+    return defect is None, defect
+
+
+def _path_defect(comp: engine.ConfigComponent) -> Optional[str]:
+    """Why an uncapped component is not a path, or None when it is one;
+    degrees come from the component's neighbour rows."""
     if comp.size == 1:
-        return True, None
-    adj = engine.component_adjacency(comp)
-    degs = [len(v) for v in adj.values()]
+        return None
+    degs = [len(row) for row in comp.rows]
     n_edges = sum(degs) // 2
     if n_edges != comp.size - 1:
-        return False, f"{n_edges} edges on {comp.size} nodes"
+        return f"{n_edges} edges on {comp.size} nodes"
     if max(degs) > 2:
-        return False, "a node has degree > 2"
+        return "a node has degree > 2"
     if degs.count(1) != 2:
-        return False, f"{degs.count(1)} endpoints"
-    return True, None
+        return f"{degs.count(1)} endpoints"
+    return None
 
 
 def saturate_to_path(
@@ -200,6 +205,29 @@ def _check_pair(g: Graph, s: Iterable[int], what: str) -> tuple[int, int]:
     return t
 
 
+def _reach(start: int, goal: int, row: Callable[[int], int]) -> bool:
+    """Whether ``goal`` is reachable from ``start`` in the graph whose
+    vertex u has the neighbour bitmask ``row(u)``: bitset BFS, one
+    frontier layer per round."""
+    visited = frontier = 1 << start
+    while frontier and not visited >> goal & 1:
+        nxt = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt |= row(low.bit_length() - 1)
+        frontier = nxt & ~visited
+        visited |= frontier
+    return bool(visited >> goal & 1)
+
+
+def _complement_row(g: Graph) -> Callable[[int], int]:
+    """Neighbour bitmasks of the complement of g, made on the fly."""
+    full = (1 << g.n) - 1
+    return lambda u: full & ~(g.adj[u] | 1 << u)
+
+
 def decide_k2_naive(
     g: Graph,
     a: Iterable[int],
@@ -214,21 +242,7 @@ def decide_k2_naive(
     """
     a = _check_pair(g, a, "endpoint a")
     b = _check_pair(g, b, "endpoint b")
-    full = (1 << g.n) - 1
-    visited = 1 << a[0]
-    frontier = visited
-    while frontier:
-        nxt = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            nxt |= full & ~g.adj[u] & ~(1 << u)
-        nxt &= ~visited
-        visited |= nxt
-        frontier = nxt
-    ok = bool(visited >> b[0] & 1)
+    ok = _reach(a[0], b[0], _complement_row(g))
     if not with_witness:
         return ok
     if not ok:
@@ -264,26 +278,7 @@ def decide_k2_fast(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
 
     if small_mask == 0:
         # nothing contracted: BFS the whole complement, rows on the fly
-        rep_a, rep_b = a[0], b[0]
-        if rep_a == rep_b:
-            return True
-        full = (1 << n) - 1
-        visited = 1 << rep_a
-        frontier = visited
-        while frontier:
-            if visited >> rep_b & 1:
-                return True
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                rest ^= low
-                nxt |= full & ~g.adj[u] & ~(1 << u)
-            nxt &= ~visited
-            visited |= nxt
-            frontier = nxt
-        return bool(visited >> rep_b & 1)
+        return _reach(a[0], b[0], _complement_row(g))
 
     pos = {v: i for i, v in enumerate(big)}
     x = len(big)
@@ -301,26 +296,7 @@ def decide_k2_fast(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
             r |= 1 << x
             rows[x] |= 1 << pos[u]
         rows[pos[u]] = r
-    rep_a = pos.get(a[0], x)
-    rep_b = pos.get(b[0], x)
-    if rep_a == rep_b:
-        return True
-    visited = 1 << rep_a
-    frontier = visited
-    while frontier:
-        if visited >> rep_b & 1:
-            return True
-        nxt = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            nxt |= rows[u]
-        nxt &= ~visited
-        visited |= nxt
-        frontier = nxt
-    return bool(visited >> rep_b & 1)
+    return _reach(pos.get(a[0], x), pos.get(b[0], x), rows.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +372,7 @@ def check_circulant_structure(
         raise NodeCapExceeded("node cap reached while enumerating components")
     details["component_count"] = len(comps)
     details["component_sizes"] = sorted(c.size for c in comps)
-    for comp in comps:
-        adj = engine.component_adjacency(comp)
-        degs = [len(v) for v in adj.values()]
-        if (
-            sum(degs) // 2 != comp.size - 1
-            or (comp.size > 1 and (max(degs) > 2 or degs.count(1) != 2))
-        ):
-            details["paths_ok"] = False
+    details["paths_ok"] = all(_path_defect(c) is None for c in comps)
     ok = (
         not details["extra_triples"]
         and not details["missing_triples"]

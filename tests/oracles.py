@@ -156,6 +156,29 @@ def config_key_order(s):
     return tuple(reversed(s))
 
 
+def brute_shortest_sequence(g: Graph, k: int, a, b, rule: str = TJ):
+    """Shortest sequence from a to b, or None if unreachable: distances to
+    b by BFS on the explicit configuration graph, then from a a walk
+    downhill that always steps to the smallest-key neighbour one closer."""
+    a, b = tuple(sorted(a)), tuple(sorted(b))
+    _, adj = explicit_config_graph(g, k, rule)
+    dist = {b: 0}
+    queue = deque([b])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adj[cur]:
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    if a not in dist:
+        return None
+    seq = [a]
+    while seq[-1] != b:
+        d = dist[seq[-1]] - 1
+        seq.append(min((s for s in adj[seq[-1]] if dist.get(s) == d), key=config_key_order))
+    return seq
+
+
 def brute_component_diameters(g: Graph, k: int, rule: str = TJ):
     """(diameter, witness_from, witness_to) of the largest component
     diameter, or None without an independent k-set, by BFS from every node

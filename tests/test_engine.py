@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_component_diameters,
+    brute_shortest_sequence,
+    config_key_order,
     explicit_components,
     explicit_config_graph,
     explicit_distance,
@@ -282,9 +284,9 @@ def test_unknown_rule_rejected():
 
 
 @st.composite
-def small_instances(draw):
-    """(graph on at most 9 vertices, k in 1..3, rule)."""
-    n = draw(st.integers(1, 9))
+def small_instances(draw, max_n=9):
+    """(graph on at most ``max_n`` vertices, k in 1..3, rule)."""
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
@@ -343,3 +345,66 @@ def test_diameter_empty12_k3_matches_brute_oracle(batch):
         rep = E.max_component_diameter(g, 3)
         assert rep.component_size == 220
         _assert_matches_oracle(g, 3, TJ)
+
+
+def _capped_sizes(comps, node_cap):
+    """(size, capped) per component reported under the cap rule: with
+    budget b left, a component of s nodes is capped iff s > max(b, 1),
+    and then reports max(b, 1) nodes and ends the enumeration."""
+    out, budget = [], node_cap
+    for comp in comps:
+        room = max(budget, 1)
+        if len(comp) > room:
+            out.append((room, True))
+            break
+        out.append((len(comp), False))
+        budget -= len(comp)
+    return out
+
+
+@given(small_instances(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_enumerate_components_cap_rule(case):
+    g, k, rule = case
+    comps = sorted(explicit_components(g, k, rule),
+                   key=lambda c: min(map(config_key_order, c)))
+    total = sum(map(len, comps))
+    for node_cap in range(total + 2):
+        got = E.enumerate_components(g, k, rule, node_cap)
+        assert [(c.size, c.capped) for c in got] == _capped_sizes(comps, node_cap)
+        for c, want in zip(got, comps):
+            if not c.capped:
+                assert set(c.dist) == {E.encode_key(s) for s in want}
+
+
+@given(small_instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_shortest_sequence_matches_brute_oracle(case, data):
+    g, k, rule = case
+    sets = independent_ksets(g, k)
+    if not sets:
+        return
+    a, b = data.draw(st.sampled_from(sets)), data.draw(st.sampled_from(sets))
+    seq = E.shortest_sequence(g, k, a, b, rule)
+    assert seq == brute_shortest_sequence(g, k, a, b, rule)
+    d = explicit_distance(g, k, a, b, rule)
+    assert (seq is None) == (d is None)
+    if seq is not None:
+        assert len(seq) == d + 1
+
+
+def test_shortest_sequence_source_found_after_cap():
+    # the BFS from (0,) records (1,) and then meets the source (2,) as the
+    # third node: a goal found is an answer, even one node past the cap
+    g = Graph.empty(3)
+    assert E.shortest_sequence(g, 1, (2,), (0,), node_cap=2) == [(2,), (0,)]
+    assert E.distance(g, 1, (0,), (2,), node_cap=2) == 1
+    with pytest.raises(NodeCapExceeded):
+        E.shortest_sequence(g, 1, (2,), (0,), node_cap=1)
+
+
+def test_key_width_refusal():
+    # vertex 65536 does not fit a 16-bit key field
+    g = Graph.empty((1 << 16) + 1)
+    with pytest.raises(GraphError, match="key width"):
+        E.bfs_component(g, 1, (0,))
