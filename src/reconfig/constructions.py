@@ -5,6 +5,10 @@ vertices, states the claimed diameter lower bound with its formula, and
 carries endpoint sets realizing the claim. Builders measure their own claims
 where feasible under the node cap and refuse rather than under-deliver:
 a measured value below the claimed bound raises instead of passing silently.
+
+The +3 ring extension takes a prime 73 <= p <= 131: below 72 its difference
+9 exceeds p/8, and from 136 on a second difference breaks the mod-8
+transition property, so the ring keeps the single difference 9.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import engine
-from .apsets import MAX_EXACT_N, APSet, behrend_set, max_3ap_free, odd_3ap_free
+from .apsets import APSet, odd_3ap_free
 from .engine import DEFAULT_NODE_CAP, TJ, NodeCapExceeded
 from .graph import Graph, GraphError, independence_number, is_independent
 
@@ -33,6 +37,11 @@ __all__ = [
     "build_k3_extremal",
     "build_general",
 ]
+
+
+# bound on the prime of the +3 ring extension: (p-8)//64 must stay 1, so the
+# largest prime it takes is 131 (see triple_extend)
+MAX_RING_P = 135
 
 
 class ConstructionError(GraphError):
@@ -121,16 +130,7 @@ def complement_path(n: int) -> tuple[Graph, BuildReport]:
     """
     if n < 3:
         raise ConstructionError(f"complement_path needs n >= 3, got {n}")
-    if n <= 4096:
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if v != u + 1
-        ]
-        g = Graph.from_edges(n, edges)
-    else:
-        g = _complement_path_big(n)
+    g = Graph(n, _complement_path_rows(n), _trusted=True)
     report = BuildReport(
         name="comp-path",
         params={"n": n},
@@ -147,20 +147,10 @@ def complement_path(n: int) -> tuple[Graph, BuildReport]:
     return g, report
 
 
-def _complement_path_big(n: int) -> Graph:
-    # bytes template keeps construction linear in the row size
-    nbytes = (n + 7) // 8
-    template = bytearray(b"\xff" * nbytes)
-    for b in range(n, nbytes * 8):
-        template[b >> 3] &= ~(1 << (b & 7)) & 0xFF
-    rows = []
-    for i in range(n):
-        row = bytearray(template)
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < n:
-                row[j >> 3] &= ~(1 << (j & 7)) & 0xFF
-        rows.append(int.from_bytes(row, "little"))
-    return Graph(n, rows, _trusted=True)
+def _complement_path_rows(n: int) -> list[int]:
+    # row i is everything but i-1, i, i+1: the bits of 7 << i >> 1
+    full = (1 << n) - 1
+    return [full ^ ((7 << i >> 1) & full) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +312,14 @@ def glue(
         specs.append(JunctionSpec(idx, tuple(j.b_order), tuple(j.a_order), xs))
 
     n_new = g.n + per * len(specs)
-    if max(used) != n_new - 1 or used != set(range(n_new)):
+    if used != set(range(n_new)):
         raise ConstructionError("fresh vertex ids must form a contiguous block above V(G)")
 
-    full = (1 << n_new) - 1
-    rows = [g.adj[v] for v in range(g.n)] + [0] * (per * len(specs))
     # fresh vertices start complete to everything
-    for spec in specs:
-        for x in spec.x_ids:
-            rows[x] = full ^ (1 << x)
-            for v in range(g.n):
-                rows[v] |= 1 << x
-        for x in spec.x_ids:
-            for y in spec.x_ids:
-                if y != x:
-                    rows[x] |= 1 << y
-    for spec in specs:
-        for sp2 in specs:
-            if sp2 is not spec:
-                for x in spec.x_ids:
-                    for y in sp2.x_ids:
-                        rows[x] |= 1 << y
+    full = (1 << n_new) - 1
+    fresh = full ^ ((1 << g.n) - 1)
+    rows = [g.adj[v] | fresh for v in range(g.n)]
+    rows += [full ^ (1 << x) for x in range(g.n, n_new)]
     # carve the position windows
     for spec in specs:
         seq = list(spec.b_order) + list(spec.x_ids) + list(spec.a_order)
@@ -398,6 +375,59 @@ def glue(
 
 
 # ---------------------------------------------------------------------------
+# shared skeleton of the +2 and +3 extensions
+
+
+def _host_distance(
+    g: Graph, k: int, a: Iterable[int], b: Iterable[int], node_cap: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Validated endpoints a, b of the host g, after checking that its
+    independence number is exactly k, and their measured distance."""
+    a = _validate_endpoint(g, a, k, "endpoint a")
+    b = _validate_endpoint(g, b, k, "endpoint b")
+    alpha = independence_number(g, limit=max(64, g.n))
+    if alpha != k:
+        raise ConstructionError(f"independence number is {alpha}, expected {k}")
+    d = engine.distance(g, k, a, b, TJ, node_cap)
+    if d is None:
+        raise ConstructionError("endpoints a and b are not connected")
+    return a, b, d
+
+
+def _block_host(rows: list[int], host_n: int, gate: int, keep: set[int]) -> None:
+    """Make vertex ``gate`` adjacent to every host vertex outside ``keep``."""
+    for v in range(host_n):
+        if v not in keep:
+            rows[gate] |= 1 << v
+            rows[v] |= 1 << gate
+
+
+def _self_measure(
+    h: Graph,
+    k: int,
+    start: tuple[int, ...],
+    target: tuple[int, ...],
+    claimed: int,
+    node_cap: int,
+    verify: bool,
+) -> dict:
+    """The ``measured_distance``/``verified`` report fields: the start-target
+    distance when ``verify`` is set and it fits under the node cap; a value
+    below ``claimed`` raises."""
+    measured = None
+    if verify:
+        try:
+            measured = engine.distance(h, k, start, target, TJ, node_cap)
+        except NodeCapExceeded:
+            pass
+        if measured is not None and measured < claimed:
+            raise ConstructionError(
+                f"measured distance {measured} fell below claimed {claimed}"
+            )
+    return {"measured_distance": measured, "verified": measured is not None}
+
+
+# ---------------------------------------------------------------------------
 # toll-booth extension: +2 tokens, distance multiplied by 2n
 
 
@@ -422,36 +452,17 @@ def toll_booth_extend(
     """
     if n < 1:
         raise ConstructionError(f"toll_booth_extend needs n >= 1, got {n}")
-    a = _validate_endpoint(g, a, k, "endpoint a")
-    b = _validate_endpoint(g, b, k, "endpoint b")
-    alpha = independence_number(g, limit=max(64, g.n))
-    if alpha != k:
-        raise ConstructionError(f"independence number is {alpha}, expected {k}")
-    d = engine.distance(g, k, a, b, TJ, node_cap)
-    if d is None:
-        raise ConstructionError("endpoints a and b are not connected")
+    a, b, d = _host_distance(g, k, a, b, node_cap)
 
     nx = 6 * n + 2
     n_new = g.n + nx
     x = [g.n + t for t in range(nx)]  # x[t] is the paper-position t+1
-    rows = [g.adj[v] for v in range(g.n)] + [0] * nx
     # strip induces the complement of a path: non-edges are consecutive pairs
-    for i in range(nx):
-        for j in range(i + 1, nx):
-            if j - i >= 2:
-                rows[x[i]] |= 1 << x[j]
-                rows[x[j]] |= 1 << x[i]
+    rows = list(g.adj) + [row << g.n for row in _complement_path_rows(nx)]
     aset, bset = set(a), set(b)
     for ell in range(1, n + 1):
-        gate_b = x[6 * ell - 3 - 1]  # open only when g-tokens sit on b
-        gate_a = x[6 * ell - 1]  # open only when g-tokens sit on a
-        for v in range(g.n):
-            if v not in bset:
-                rows[gate_b] |= 1 << v
-                rows[v] |= 1 << gate_b
-            if v not in aset:
-                rows[gate_a] |= 1 << v
-                rows[v] |= 1 << gate_a
+        _block_host(rows, g.n, x[6 * ell - 3 - 1], bset)  # open only when g-tokens sit on b
+        _block_host(rows, g.n, x[6 * ell - 1], aset)  # open only when g-tokens sit on a
     h = Graph(n_new, rows, g.labels)
 
     start = tuple(sorted(a + (x[0], x[1])))
@@ -460,21 +471,8 @@ def toll_booth_extend(
     extra = {
         "d": d,
         "statement_bound": 2 * d * n,
-        "measured_distance": None,
-        "verified": False,
+        **_self_measure(h, k + 2, start, target, claimed, node_cap, verify),
     }
-    if verify:
-        try:
-            measured = engine.distance(h, k + 2, start, target, TJ, node_cap)
-        except NodeCapExceeded:
-            measured = None
-        if measured is not None:
-            if measured < claimed:
-                raise ConstructionError(
-                    f"measured distance {measured} fell below claimed {claimed}"
-                )
-            extra["measured_distance"] = measured
-            extra["verified"] = True
     report = BuildReport(
         name="toll-booth",
         params={"k": k, "n": n, "host_n": g.n},
@@ -587,38 +585,35 @@ def triple_extend(
     verify: bool = True,
 ) -> tuple[Graph, BuildReport]:
     """Append a circulant ring on p-1 vertices and wire its 0-mod-8 labels
-    against a and its 4-mod-8 labels against b, so walking a ring component
-    end to end forces ~p/4 full a-b round trips inside g.
+    against a and its 4-mod-8 labels against b, so walking the ring
+    component end to end forces ~p/4 full a-b round trips inside g.
 
-    The base difference set is 8S'+1 for the largest 3-AP-free S' fitting
-    under p/64, giving labels that advance by 1 mod 8 along each component.
+    The difference set is 8S'+1 for the largest 3-AP-free S' under
+    (p-8)/64, which is S' = {1} for the primes 73 <= p <= 131 accepted
+    here: the single difference 9, with labels relabelled to advance by 1
+    mod 8 along the component. From p = 136 on, S' = {1, 2} would add the
+    difference 17; along the component of 9 the labels then wrap past p,
+    a move swaps labels differing by 27-p, which is even mod 8, and the
+    ring fails its mod-8 transition check, so such p are refused.
     Requires maximum independent sets of g to have size exactly k.
     """
-    a = _validate_endpoint(g, a, k, "endpoint a")
-    b = _validate_endpoint(g, b, k, "endpoint b")
-    alpha = independence_number(g, limit=max(64, g.n))
-    if alpha != k:
-        raise ConstructionError(f"independence number is {alpha}, expected {k}")
-    d = engine.distance(g, k, a, b, TJ, node_cap)
-    if d is None:
-        raise ConstructionError("endpoints a and b are not connected")
-    m = (p - 8) // 64
-    if m < 1:
+    a, b, d = _host_distance(g, k, a, b, node_cap)
+    if p < 72:
         raise ConstructionError(f"p={p} too small: need (p-8)/64 >= 1, i.e. p >= 72")
-    if m <= MAX_EXACT_N:
-        sprime = max_3ap_free(m)
-    else:
-        sprime = behrend_set(m)
-    elems = tuple(8 * s + 1 for s in sprime.elements)
+    if p > MAX_RING_P:
+        raise ConstructionError(
+            f"p={p} too large: need (p-8)/64 < 2, i.e. p <= {MAX_RING_P}; a second "
+            "ring difference breaks the +-3 mod 8 transition"
+        )
+    sprime, s = 1, 9
 
-    h, _ = circulant_ap_graph(p, elems)
-    if len(elems) == 1:
-        # relabel so the single component walks consecutive integers: vertex
-        # of residue r gets label r * s^-1 mod p, turning every triple's
-        # labels into {j, j+1, j+2} and making the mod-8 structure exact
-        s_inv = pow(elems[0], -1, p)
-        h = h.relabeled({v: (v + 1) * s_inv % p for v in range(h.n)})
-    props = check_ring_properties(h, p, elems)
+    # relabel so the component walks consecutive integers: vertex of residue
+    # r gets label r * s^-1 mod p, turning every triple's labels into
+    # {j, j+1, j+2} and making the mod-8 structure exact
+    h, _ = circulant_ap_graph(p, (s,))
+    s_inv = pow(s, -1, p)
+    h = h.relabeled({v: (v + 1) * s_inv % p for v in range(h.n)})
+    props = check_ring_properties(h, p, (s,))
     if not props["consecutive_mod8"]:
         raise ConstructionError(
             "ring property failed: some independent triple lacks consecutive labels mod 8"
@@ -631,42 +626,31 @@ def triple_extend(
     # assemble: g stays as-is, ring vertices shift up by g.n
     off = g.n
     n_new = g.n + h.n
-    rows = [g.adj[v] for v in range(g.n)]
-    rows += [h.adj[u] << off for u in range(h.n)]
+    rows = list(g.adj) + [h.adj[u] << off for u in range(h.n)]
     labels = {off + u: h.labels[u] for u in range(h.n)}
     aset, bset = set(a), set(b)
     for u in range(h.n):
         r8 = h.labels[u] % 8
         if r8 == 0:
-            blocked = [v for v in range(g.n) if v not in aset]
+            _block_host(rows, g.n, off + u, aset)
         elif r8 == 4:
-            blocked = [v for v in range(g.n) if v not in bset]
-        else:
-            continue
-        for v in blocked:
-            rows[off + u] |= 1 << v
-            rows[v] |= 1 << (off + u)
+            _block_host(rows, g.n, off + u, bset)
     gp = Graph(n_new, rows, labels)
 
     # endpoint triples: first and last path nodes with residues {1,2,3}
-    paths = circulant_paths(p, elems)
+    path = circulant_paths(p, (s,))[s]
     lbl = h.labels
 
     def residues(t):
         return {lbl[v] % 8 for v in t}
 
-    per_comp = []
-    for e in elems:
-        path = paths[e]
-        first = next(t for t in path if residues(t) == {1, 2, 3})
-        last = next(t for t in reversed(path) if residues(t) == {1, 2, 3})
-        per_comp.append((first, last))
-
     def lift(t):
         return tuple(sorted(v + off for v in t))
 
-    start = tuple(sorted(a + lift(per_comp[0][0])))
-    target = tuple(sorted(a + lift(per_comp[0][1])))
+    first = lift(next(t for t in path if residues(t) == {1, 2, 3}))
+    last = lift(next(t for t in reversed(path) if residues(t) == {1, 2, 3}))
+    start = tuple(sorted(a + first))
+    target = tuple(sorted(a + last))
     _validate_endpoint(gp, start, k + 3, "ring start endpoint")
     _validate_endpoint(gp, target, k + 3, "ring target endpoint")
 
@@ -674,58 +658,16 @@ def triple_extend(
     extra = {
         "p": p,
         "d": d,
-        "s_base": list(sprime.elements),
-        "s": list(elems),
-        "relabeled": len(elems) == 1,
+        "s_base": [sprime],
+        "s": [s],
+        "relabeled": True,
         "ring_properties": {
             "consecutive_mod8": props["consecutive_mod8"],
             "transition_mod8": props["transition_mod8"],
             "zero_mod8_missing": {str(k_): v for k_, v in props["zero_mod8_missing"].items()},
         },
-        "measured_distance": None,
-        "verified": False,
+        **_self_measure(gp, k + 3, start, target, claimed, node_cap, verify),
     }
-    if verify:
-        try:
-            measured = engine.distance(gp, k + 3, start, target, TJ, node_cap)
-        except NodeCapExceeded:
-            measured = None
-        if measured is not None:
-            if measured < claimed:
-                raise ConstructionError(
-                    f"measured distance {measured} fell below claimed {claimed}"
-                )
-            extra["measured_distance"] = measured
-            extra["verified"] = True
-
-    if len(per_comp) > 1:
-        # connect the per-component corridors end to end
-        junctions = []
-        seq_pairs = []
-        for i in range(len(per_comp) - 1):
-            b_end = tuple(sorted(a + lift(per_comp[i][1])))
-            a_next = tuple(sorted(a + lift(per_comp[i + 1][0])))
-            seq_pairs.append((b_end, a_next))
-        for i, (b_end, a_next) in enumerate(seq_pairs):
-            b_seq = engine.shortest_sequence(
-                gp, k + 3, tuple(sorted(a + lift(per_comp[i][0]))), b_end, TJ, node_cap
-            )
-            a_seq = engine.shortest_sequence(
-                gp, k + 3, a_next, tuple(sorted(a + lift(per_comp[i + 1][1]))), TJ, node_cap
-            )
-            if b_seq is None or a_seq is None:
-                raise ConstructionError("component corridor unexpectedly disconnected")
-            b1 = (set(b_end) - set(b_seq[-2])).pop()
-            ak = (set(a_next) - set(a_seq[1])).pop()
-            b_order = (b1,) + tuple(sorted(set(b_end) - {b1}))
-            a_order = tuple(sorted(set(a_next) - {ak})) + (ak,)
-            junctions.append(JunctionSpec(i, b_order, a_order))
-        final_target = tuple(sorted(a + lift(per_comp[-1][1])))
-        gp, glue_rep = glue(gp, k + 3, junctions, start, final_target, TJ, node_cap)
-        claimed = glue_rep.claimed_diameter_lb
-        target = glue_rep.target
-        extra["glue"] = glue_rep.to_json()
-
     report = BuildReport(
         name="triple-extend",
         params={"k": k, "p": p, "host_n": g.n},
@@ -735,7 +677,7 @@ def triple_extend(
         start=start,
         target=target,
         roles={"ring_offset": off, "a": list(a), "b": list(b),
-               "component_endpoints": [[list(lift(f)), list(lift(l))] for f, l in per_comp]},
+               "component_endpoints": [[list(first), list(last)]]},
         extra=extra,
     )
     return gp, report
@@ -756,8 +698,6 @@ def build_k3_extremal(budget_n: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple[
         if not is_prime(p):
             continue
         s = odd_3ap_free(p // 8, 4)
-        if len(s) == 0:
-            continue
         cost = (p - 1) + 7 * (len(s) - 1)
         if cost <= budget_n:
             chosen = (p, s)
@@ -844,7 +784,7 @@ def build_general(
     for step in range(steps):
         remaining = budget_n - g.n
         share = remaining // (steps - step)
-        p = share + 1
+        p = min(share + 1, MAX_RING_P)
         while p >= 73 and not is_prime(p):
             p -= 1
         if p < 73:

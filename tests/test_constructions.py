@@ -23,6 +23,22 @@ def test_complement_path_measured():
         C.complement_path(2)
 
 
+def test_complement_path_rows_match_definition():
+    # u and v are adjacent iff |u - v| >= 2
+    for n in range(3, 71):
+        g, _ = C.complement_path(n)
+        want = tuple(
+            sum(1 << v for v in range(n) if abs(u - v) >= 2) for u in range(n)
+        )
+        assert g.adj == want, n
+    for n in (4096, 4097, 5000):
+        g, _ = C.complement_path(n)
+        for u in (0, 1, n // 2, n - 2, n - 1):
+            assert g.adj[u].bit_length() <= n
+            non_neighbors = [v for v in range(n) if not g.adj[u] >> v & 1]
+            assert non_neighbors == [v for v in (u - 1, u, u + 1) if 0 <= v < n]
+
+
 def test_circulant_17(circ17):
     g, rep = circ17
     assert g.n == 16
@@ -77,6 +93,31 @@ def test_glue_corridor(glued47):
     windows = [tuple(sorted(seq[i : i + 3])) for i in range(len(seq) - 2)]
     assert len(windows) == 11
     E.validate_sequence(g, windows)
+
+
+@pytest.mark.parametrize("budget", [47, 190])
+def test_glue_matches_window_rule(budget):
+    # a pair with a fresh vertex is non-adjacent iff both lie in one junction
+    # sequence b_1..b_k, x_1..x_{3k-2}, a_1..a_k at most k-1 positions apart;
+    # fresh vertices are complete to everything else
+    h, rep = C.build_k3_extremal(budget)
+    g, _ = C.circulant_ap_graph(rep.params["p"], rep.params["s"])
+    junctions = rep.roles["junctions"]
+    assert junctions and h.n == g.n + 7 * len(junctions)
+    seq_of = {}
+    for j in junctions:
+        seq = j["b_order"] + j["x_ids"] + j["a_order"]
+        for x in j["x_ids"]:
+            seq_of[x] = seq
+    rows = list(g.adj) + [0] * (h.n - g.n)
+    for v in range(g.n, h.n):
+        seq = seq_of[v]
+        for u in range(v):
+            if u in seq and abs(seq.index(u) - seq.index(v)) <= rep.k - 1:
+                continue
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    assert h.adj == tuple(rows)
 
 
 def test_glue_validation(circ41):
@@ -167,6 +208,39 @@ def test_triple_extend_refusals(comp_p4):
         C.triple_extend(g, 2, rep.start, rep.target, 17)
     with pytest.raises(ConstructionError, match="independence number"):
         C.triple_extend(Graph.empty(4), 2, (0, 1), (2, 3), 73)
+
+
+def test_triple_extend_every_ring_prime(comp_p4):
+    g, rep = comp_p4
+    primes = [p for p in range(73, C.MAX_RING_P + 1) if C.is_prime(p)]
+    assert primes[0] == 73 and primes[-1] == 131 and len(primes) == 12
+    for p in primes:
+        gp, trep = C.triple_extend(g, 2, rep.start, rep.target, p)
+        assert trep.extra["s_base"] == [1] and trep.extra["s"] == [9]
+        assert trep.extra["relabeled"]
+        assert len(trep.roles["component_endpoints"]) == 1
+        assert trep.extra["measured_distance"] >= trep.claimed_diameter_lb
+
+
+def test_triple_extend_refuses_second_difference(comp_p4):
+    # from p = 136 on (p-8)//64 = 2 and S' = {1, 2} gives S = {9, 17}; the
+    # component of 9 wraps past p, where a move swaps labels 27-p apart,
+    # which is even mod 8, so the ring cannot pass the transition check
+    assert (C.MAX_RING_P - 8) // 64 == 1 and (C.MAX_RING_P + 1 - 8) // 64 == 2
+    ring, _ = C.circulant_ap_graph(137, (9, 17))
+    props = C.check_ring_properties(ring, 137, (9, 17))
+    assert not props["transition_mod8"]
+    g, rep = comp_p4
+    for p in (137, 139):
+        with pytest.raises(ConstructionError, match=f"p={p} too large: .* p <= 135"):
+            C.triple_extend(g, 2, rep.start, rep.target, p)
+
+
+def test_build_general_clamps_ring_prime():
+    g, rep = C.build_general(5, 200)
+    assert rep.extra["chain"][-1]["p"] == 131
+    assert g.n == 4 + 130 <= 200
+    assert rep.extra["measured_distance"] >= rep.claimed_diameter_lb
 
 
 def test_build_k3_extremal_47(glued47):

@@ -392,6 +392,14 @@ def test_cli_construct_toll_and_triple(tmp_path, capsys):
     assert json.loads(out)["k"] == 4
 
 
+def test_cli_construct_general_largest_ring(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "construct", "general", "--k", "5",
+                           "--budget", "200", "--out", str(tmp_path / "g5"))
+    assert code == 0
+    info = json.loads(out)
+    assert info["k"] == 5 and info["n"] == 134
+
+
 def test_cli_decide2_single_algos(tmp_path, capsys):
     g, _ = complement_path(5)
     path = str(tmp_path / "p5.edges")
