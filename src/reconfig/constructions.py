@@ -409,21 +409,18 @@ def _self_measure(
     target: tuple[int, ...],
     claimed: int,
     node_cap: int,
-    verify: bool,
 ) -> dict:
     """The ``measured_distance``/``verified`` report fields: the start-target
-    distance when ``verify`` is set and it fits under the node cap; a value
+    distance, or None when it does not fit under the node cap; a value
     below ``claimed`` raises."""
-    measured = None
-    if verify:
-        try:
-            measured = engine.distance(h, k, start, target, TJ, node_cap)
-        except NodeCapExceeded:
-            pass
-        if measured is not None and measured < claimed:
-            raise ConstructionError(
-                f"measured distance {measured} fell below claimed {claimed}"
-            )
+    try:
+        measured = engine.distance(h, k, start, target, TJ, node_cap)
+    except NodeCapExceeded:
+        measured = None
+    if measured is not None and measured < claimed:
+        raise ConstructionError(
+            f"measured distance {measured} fell below claimed {claimed}"
+        )
     return {"measured_distance": measured, "verified": measured is not None}
 
 
@@ -438,7 +435,6 @@ def toll_booth_extend(
     b: Iterable[int],
     n: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    verify: bool = True,
 ) -> tuple[Graph, BuildReport]:
     """Append 6n+2 vertices inducing the complement of a path; the tokens on
     that strip can only advance past position 6l-3 (resp. 6l) when the k
@@ -471,7 +467,7 @@ def toll_booth_extend(
     extra = {
         "d": d,
         "statement_bound": 2 * d * n,
-        **_self_measure(h, k + 2, start, target, claimed, node_cap, verify),
+        **_self_measure(h, k + 2, start, target, claimed, node_cap),
     }
     report = BuildReport(
         name="toll-booth",
@@ -582,7 +578,6 @@ def triple_extend(
     b: Iterable[int],
     p: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    verify: bool = True,
 ) -> tuple[Graph, BuildReport]:
     """Append a circulant ring on p-1 vertices and wire its 0-mod-8 labels
     against a and its 4-mod-8 labels against b, so walking the ring
@@ -666,7 +661,7 @@ def triple_extend(
             "transition_mod8": props["transition_mod8"],
             "zero_mod8_missing": {str(k_): v for k_, v in props["zero_mod8_missing"].items()},
         },
-        **_self_measure(gp, k + 3, start, target, claimed, node_cap, verify),
+        **_self_measure(gp, k + 3, start, target, claimed, node_cap),
     }
     report = BuildReport(
         name="triple-extend",
@@ -757,7 +752,6 @@ def build_general(
     k_target: int,
     budget_n: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    verify_steps: bool = True,
 ) -> tuple[Graph, BuildReport]:
     """Reach token count k_target by chaining +3 ring extensions over a small
     base chosen by k_target mod 3 (complement of a path, a circulant, or one
@@ -792,7 +786,7 @@ def build_general(
                 f"budget {budget_n} infeasible: step {step} has {remaining} vertices "
                 f"left for {steps - step} ring(s), needs a prime p >= 73"
             )
-        g, rep = triple_extend(g, k, a, b, p, node_cap, verify=verify_steps)
+        g, rep = triple_extend(g, k, a, b, p, node_cap)
         k += 3
         a, b = rep.start, rep.target
         chain.append({"k": k, "n_vertices": g.n, "name": rep.name, "p": p,

@@ -167,29 +167,33 @@ def _neighbor_keys(g: Graph, k: int, rule: str, key: int) -> Iterator[int]:
 
 def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All independent k-sets of g, ascending key order."""
+    return [decode_key(key, k) for key in _independent_keys(g, k)]
+
+
+def _independent_keys(g: Graph, k: int) -> list[int]:
+    """Keys of all independent k-sets of g, ascending: the largest vertex,
+    which fills the top 16-bit field, is chosen first, then the next
+    largest below it, and so on."""
     if k < 0:
         raise GraphError("k must be nonnegative")
     if k == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    full = (1 << g.n) - 1
+        return [0]
+    if g.n > 1 << KEY_BITS:
+        raise GraphError(f"n={g.n} exceeds the {KEY_BITS}-bit key width")
+    out: list[int] = []
 
-    def rec(prefix: list[int], allowed: int) -> None:
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
+    def rec(shift: int, key: int, allowed: int) -> None:
         rest = allowed
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
             rest ^= low
-            prefix.append(v)
-            higher = full & ~((1 << (v + 1)) - 1)
-            rec(prefix, allowed & ~g.adj[v] & higher)
-            prefix.pop()
+            v = low.bit_length() - 1
+            if shift:
+                rec(shift - KEY_BITS, key | v << shift, allowed & (low - 1) & ~g.adj[v])
+            else:
+                out.append(key | v)
 
-    rec([], full)
-    out.sort(key=encode_key)
+    rec(KEY_BITS * (k - 1), 0, (1 << g.n) - 1)
     return out
 
 
@@ -211,9 +215,6 @@ class ConfigComponent:
     dist: dict[int, int]
     capped: bool = False
     rows: list[list[int]] = field(default_factory=list, repr=False)
-    _diameter: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
-        default=None, repr=False
-    )
 
     @property
     def size(self) -> int:
@@ -262,10 +263,10 @@ def _bfs(
     return dist, False
 
 
-def _component(g: Graph, k: int, rule: str, vs: tuple[int, ...], node_cap: int) -> ConfigComponent:
+def _component(g: Graph, k: int, rule: str, key: int, node_cap: int) -> ConfigComponent:
     rows: list[list[int]] = []
-    dist, capped = _bfs(g, k, rule, encode_key(vs), node_cap, rows=rows)
-    return ConfigComponent(g, k, rule, vs, dist, capped, rows)
+    dist, capped = _bfs(g, k, rule, key, node_cap, rows=rows)
+    return ConfigComponent(g, k, rule, decode_key(key, k), dist, capped, rows)
 
 
 def bfs_component(
@@ -280,7 +281,7 @@ def bfs_component(
     A capped result is explicit (``capped=True``), never a silent truncation.
     """
     _check_rule(rule)
-    return _component(g, k, rule, _checked_set(g, start, k), node_cap)
+    return _component(g, k, rule, encode_key(_checked_set(g, start, k)), node_cap)
 
 
 def distance(
@@ -416,9 +417,6 @@ def component_diameter(
     """
     if comp.capped:
         raise NodeCapExceeded("cannot compute an exact diameter of a capped component")
-    if comp._diameter is not None:
-        d, u, v = comp._diameter
-        return d, (u, v)
     keys = sorted(comp.dist)
     index = {key: i for i, key in enumerate(keys)}
     # Positions order the nodes by descending degree, so the nodes with a
@@ -440,10 +438,7 @@ def component_diameter(
         if found[0] > best[0]:
             best = found
     d, src, far = best
-    u = decode_key(keys[src], comp.k)
-    v = decode_key(keys[far], comp.k)
-    comp._diameter = (d, u, v)
-    return d, (u, v)
+    return d, (decode_key(keys[src], comp.k), decode_key(keys[far], comp.k))
 
 
 def enumerate_components(
@@ -462,11 +457,10 @@ def enumerate_components(
     comps: list[ConfigComponent] = []
     assigned: set[int] = set()
     budget = node_cap
-    for vs in independent_sets(g, k):
-        key = encode_key(vs)
+    for key in _independent_keys(g, k):
         if key in assigned:
             continue
-        comp = _component(g, k, rule, vs, max(budget, 0))
+        comp = _component(g, k, rule, key, max(budget, 0))
         comps.append(comp)
         assigned.update(comp.dist)
         budget -= comp.size

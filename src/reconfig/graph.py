@@ -94,17 +94,14 @@ class Graph:
         labels: Optional[dict[int, int]] = None,
     ) -> "Graph":
         rows = [0] * n
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                warnings.warn(f"duplicate edge {key} ignored", stacklevel=2)
+            if rows[u] >> v & 1:  # the first occurrence wins
+                warnings.warn(f"duplicate edge {min(u, v), max(u, v)} ignored", stacklevel=2)
                 continue
-            seen.add(key)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows, labels, _trusted=True)
@@ -377,6 +374,8 @@ def parse_graph6(text: str) -> Graph:
     if any(d < 0 or d > 63 for d in data):
         raise GraphError("invalid graph6 character")
     if data[0] == 63:
+        if len(data) > 1 and data[1] == 63:
+            raise GraphError("graph6 8-byte size field (n >= 258048) is not supported")
         if len(data) < 4:
             raise GraphError("truncated graph6 size field")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
@@ -385,8 +384,11 @@ def parse_graph6(text: str) -> Graph:
         n = data[0]
         data = data[1:]
     need = n * (n - 1) // 2
-    if len(data) * 6 < need:
-        raise GraphError("truncated graph6 bit vector")
+    if len(data) != (need + 5) // 6:
+        raise GraphError(
+            f"graph6 bit vector has {len(data)} characters, expected "
+            f"exactly {(need + 5) // 6} for n={n}"
+        )
     bits = []
     for d in data:
         for shift in range(5, -1, -1):

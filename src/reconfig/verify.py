@@ -228,75 +228,50 @@ def _complement_row(g: Graph) -> Callable[[int], int]:
     return lambda u: full & ~(g.adj[u] | 1 << u)
 
 
-def decide_k2_naive(
-    g: Graph,
-    a: Iterable[int],
-    b: Iterable[int],
-    with_witness: bool = False,
-    node_cap: int = DEFAULT_NODE_CAP,
-):
+def decide_k2_naive(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     """Oracle decision: the two tokens of a can be walked to b iff a and b
-    meet the same connected component of the complement graph.
-
-    With ``with_witness`` returns (bool, shortest sequence or None).
-    """
+    meet the same connected component of the complement graph."""
     a = _check_pair(g, a, "endpoint a")
     b = _check_pair(g, b, "endpoint b")
-    ok = _reach(a[0], b[0], _complement_row(g))
-    if not with_witness:
-        return ok
-    if not ok:
-        return False, None
-    return True, engine.shortest_sequence(g, 2, a, b, TJ, node_cap)
+    return _reach(a[0], b[0], _complement_row(g))
 
 
 def decide_k2_fast(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     """Reachability for two tokens in time linear in the adjacency data.
 
     Vertices of degree below (n-1)/2 pairwise share a non-neighbor, so they
-    all lie in one complement component; contract them to a single vertex x.
-    The high-degree remainder B has O(m/n) vertices, so only its induced
-    subgraph ever gets complemented: the search graph is the complement of
-    g[B] plus x joined to the B-vertices that miss at least one contracted
-    vertex. One BFS there answers the query.
+    all lie in one complement component; the lowest of them, x, stands for
+    them all. A high-degree vertex's row is its complement row with the
+    low-degree bits folded into x; x's row, built only when the search
+    reaches x, holds the high-degree vertices that miss some low-degree
+    vertex. At most O(m/n) vertices have high degree, so one BFS over these
+    rows, made on the fly, answers the query.
     """
     a = _check_pair(g, a, "endpoint a")
     b = _check_pair(g, b, "endpoint b")
     n = g.n
-    if n <= 2:
-        return a == b
-    small_mask = 0
-    big: list[int] = []
-    big_mask = 0
+    small, big = 0, []
     for v in range(n):
-        # deg >= (n-1)/2 goes to B; ties included
-        if 2 * g.adj[v].bit_count() >= n - 1:
-            big.append(v)
-            big_mask |= 1 << v
+        # deg >= (n-1)/2 stays; ties included
+        if 2 * g.adj[v].bit_count() < n - 1:
+            small |= 1 << v
         else:
-            small_mask |= 1 << v
+            big.append(v)
+    stand_in = small & -small
+    x = stand_in.bit_length() - 1  # -1 when nothing is contracted
+    complement_row = _complement_row(g)
+    x_row = None
 
-    if small_mask == 0:
-        # nothing contracted: BFS the whole complement, rows on the fly
-        return _reach(a[0], b[0], _complement_row(g))
+    def row(u: int) -> int:
+        nonlocal x_row
+        if u == x:
+            if x_row is None:
+                x_row = sum(1 << v for v in big if small & ~g.adj[v])
+            return x_row
+        r = complement_row(u)
+        return r & ~small | stand_in if r & small else r
 
-    pos = {v: i for i, v in enumerate(big)}
-    x = len(big)
-    hn = x + 1
-    rows = [0] * hn
-    for u in big:
-        au = g.adj[u]
-        r = 0
-        miss = big_mask & ~au & ~(1 << u)  # complement neighbors within B
-        while miss:
-            low = miss & -miss
-            miss ^= low
-            r |= 1 << pos[low.bit_length() - 1]
-        if au & small_mask != small_mask:  # u misses a contracted vertex
-            r |= 1 << x
-            rows[x] |= 1 << pos[u]
-        rows[pos[u]] = r
-    return _reach(pos.get(a[0], x), pos.get(b[0], x), rows.__getitem__)
+    return _reach(x if small >> a[0] & 1 else a[0], x if small >> b[0] & 1 else b[0], row)
 
 
 # ---------------------------------------------------------------------------

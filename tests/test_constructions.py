@@ -278,8 +278,8 @@ def test_build_general_dispatch():
     g4, rep4 = C.build_general(4, 30)
     assert rep4.k == 4 and rep4.extra["chain"][0]["name"] == "toll-booth"
 
-    g6, rep6 = C.build_general(6, 95, verify_steps=False)
-    assert rep6.k == 6
+    g6, rep6 = C.build_general(6, 95)
+    assert rep6.k == 6 and rep6.extra["verified"]
     assert rep6.extra["chain"][0]["name"] == "k3-extremal"
     assert is_independent(g6, rep6.start) and is_independent(g6, rep6.target)
 
@@ -315,12 +315,16 @@ def test_glue_with_explicit_x_ids(circ41):
         C.glue(g, 3, [bad], pa[0], pb[-1])
 
 
-def test_triple_extend_unverified_mode(comp_p4):
+def test_unmeasured_report_under_node_cap(comp_p4):
+    # the only unmeasured report: the self-measurement does not fit under
+    # the node cap, so the claim stands unverified instead of passing as exact
     g, rep = comp_p4
-    gp, tr = C.triple_extend(g, 2, rep.start, rep.target, 73, verify=False)
-    assert tr.extra["measured_distance"] is None
-    assert not tr.extra["verified"]
+    _, tr = C.triple_extend(g, 2, rep.start, rep.target, 73, node_cap=50)
+    assert tr.extra["measured_distance"] is None and not tr.extra["verified"]
     assert tr.claimed_diameter_lb == 32
+    _, tb = C.toll_booth_extend(g, 2, rep.start, rep.target, 1, node_cap=5)
+    assert tb.extra["measured_distance"] is None and not tb.extra["verified"]
+    assert tb.claimed_diameter_lb == 10
 
 
 def test_lower_bounds_hold_under_sliding(circ17, glued47, comp_p4):

@@ -191,9 +191,11 @@ def test_degenerate_k0_k1():
 
 def test_engine_matches_explicit_oracle():
     rng = random.Random(42)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        k = rng.randint(1, 3)
+    for trial in range(64):
+        if trial < 60:
+            n, k = rng.randint(2, 8), rng.randint(1, 3)
+        else:
+            n, k = rng.randint(9, 12), 4
         g = random_graph(rng, n, rng.random())
         sets = independent_ksets(g, k)
         assert E.independent_sets(g, k) == sorted(sets, key=E.encode_key)

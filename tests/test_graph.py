@@ -99,9 +99,15 @@ def test_graph_invariant_checks():
 
 
 def test_duplicate_edge_warns_and_dedups():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         g = Graph.from_edges(3, [(0, 1), (1, 0)])
     assert g.num_edges == 1
+    assert [str(w.message) for w in record] == ["duplicate edge (0, 1) ignored"]
+    assert record[0].filename == __file__  # stacklevel=2 names the caller
+    with pytest.warns(UserWarning) as record:
+        g = Graph.from_edges(4, [(2, 1), (1, 2), (0, 3), (2, 1)])
+    assert sorted(g.edges()) == [(0, 3), (1, 2)]
+    assert [str(w.message) for w in record] == ["duplicate edge (1, 2) ignored"] * 2
 
 
 # -- serialization ----------------------------------------------------------
@@ -151,6 +157,32 @@ def test_graph6_against_networkx_decoder():
         theirs = nx.from_graph6_bytes(s.encode())
         assert sorted(theirs.edges()) == sorted(g.edges())
         assert parse_graph6(s) == g
+
+
+def test_graph6_size_forms_against_networkx():
+    # n = 63..70 take the 4-byte size field, which write_graph6 never emits
+    rng = random.Random(12)
+    for n in (63, 64, 70):
+        theirs = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(1000))
+        s = nx.to_graph6_bytes(theirs, header=False).decode().strip()
+        assert parse_graph6(s) == Graph.from_edges(n, theirs.edges())
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("B_ABC", "has 4 characters, expected exactly 1 for n=3"),
+        ("~??~" + "?" * 700, "has 700 characters, expected exactly 326 for n=63"),
+        ("D", "has 0 characters, expected exactly 2 for n=5"),
+        ("~~???~??", "8-byte size field"),  # n = 258048, no bit vector
+    ],
+)
+def test_graph6_malformed_refused(text, match):
+    # networkx refuses each of these too
+    with pytest.raises(nx.NetworkXError):
+        nx.from_graph6_bytes(text.encode())
+    with pytest.raises(GraphError, match=match):
+        parse_graph6(text)
 
 
 def test_read_write_streams(tmp_path):

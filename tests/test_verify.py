@@ -133,8 +133,8 @@ def test_decide_k2_basics():
     assert V.decide_k2_fast(g5, (0, 1), (0, 1))
     assert V.decide_k2_fast(g5, rep.start, rep.target)
     assert V.decide_k2_naive(g5, rep.start, rep.target)
-    ok, seq = V.decide_k2_naive(g5, rep.start, rep.target, with_witness=True)
-    assert ok and len(seq) == 4
+    seq = E.shortest_sequence(g5, 2, rep.start, rep.target)
+    assert len(seq) == 4
     E.validate_sequence(g5, seq)
 
 
@@ -143,8 +143,7 @@ def test_decide_k2_disconnected():
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert not V.decide_k2_naive(g, (0, 1), (2, 3))
     assert not V.decide_k2_fast(g, (0, 1), (2, 3))
-    ok, seq = V.decide_k2_naive(g, (0, 1), (2, 3), with_witness=True)
-    assert not ok and seq is None
+    assert E.shortest_sequence(g, 2, (0, 1), (2, 3)) is None
 
 
 def test_decide_k2_two_triangles():
@@ -185,6 +184,68 @@ def test_decide_k2_oracle_equivalence_random():
         engine_reach = E.distance(g, 2, a, b) is not None
         assert fast == naive == engine_reach
         trials += 1
+
+
+def _decide(g, a, b):
+    """decide_k2_fast's answer, after checking it against the oracle and
+    the engine's distance."""
+    fast = V.decide_k2_fast(g, a, b)
+    assert fast == V.decide_k2_naive(g, a, b) == (E.distance(g, 2, a, b) is not None)
+    return fast
+
+
+def _contracted(g):
+    return {v for v in range(g.n) if 2 * g.degree(v) < g.n - 1}
+
+
+def test_decide_k2_nothing_contracted():
+    g, rep = complement_path(40)
+    assert not _contracted(g)
+    assert _decide(g, rep.start, rep.target)
+    cut = g.with_edge(19, 20)  # the complement path splits after vertex 19
+    assert not _contracted(cut)
+    assert not _decide(cut, (0, 1), (38, 39))
+    assert _decide(cut, (20, 21), (38, 39))
+
+
+def test_decide_k2_everything_contracted():
+    g = Graph.from_edges(40, [(v, v + 1) for v in range(39)])
+    assert _contracted(g) == set(range(40))
+    assert _decide(g, (0, 2), (37, 39))
+    assert _decide(g, (5, 7), (5, 7))
+
+
+def test_decide_k2_mixed_contraction():
+    # g joins H1 on 0..30 to H2 on 31..40, so their complements are apart.
+    # In H1, 0..14 form a clique (degree 24, kept) and 15..30 are isolated
+    # (degree 10, contracted); H2 is the complement of P_10 (kept).
+    n = 41
+    edges = [(u, v) for u in range(31) for v in range(31, n)]
+    edges += [(u, v) for u in range(15) for v in range(u + 1, 15)]
+    edges += [(u, v) for u in range(31, n) for v in range(u + 2, n)]
+    g = Graph.from_edges(n, edges)
+    assert _contracted(g) == set(range(15, 31))
+    # kept to kept only through the stand-in of the contracted vertices
+    assert _decide(g, (0, 15), (1, 16))
+    # one endpoint inside the contracted set
+    assert _decide(g, (15, 16), (0, 17))
+    assert _decide(g, (0, 17), (15, 16))
+    assert not _decide(g, (15, 16), (31, 32))
+    assert not _decide(g, (31, 32), (0, 15))
+    assert _decide(g, (31, 32), (39, 40))
+
+
+def test_decide_k2_degree_tie():
+    # K_{20,21}: the 21 side has degree exactly (n-1)/2 and stays uncontracted
+    g = Graph.from_edges(41, [(u, v) for u in range(20) for v in range(20, 41)])
+    assert not _contracted(g)
+    assert not _decide(g, (0, 1), (20, 21))
+    assert _decide(g, (20, 21), (39, 40))
+    # K_{20,20}: degree n/2, just above (n-1)/2; the complement is two cliques
+    g = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
+    assert not _contracted(g)
+    assert not _decide(g, (0, 1), (20, 21))
+    assert _decide(g, (0, 1), (18, 19))
 
 
 def test_claim_inter(glued47):
