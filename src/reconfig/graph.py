@@ -9,6 +9,8 @@ integer names (e.g. residues) that survive vertex deletion and relabeling.
 from __future__ import annotations
 
 import itertools
+import operator
+import re
 import warnings
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
@@ -318,32 +320,246 @@ def write_edge_list(g: Graph) -> str:
     return "".join(lines)
 
 
+# Besides " " and "\n", the ASCII characters that str.split() treats as
+# whitespace, and those that str.splitlines() treats as line boundaries. The
+# reader maps them to " " and "\n", so its tokeniser sees two separators.
+_SPACES = b"\t\x1f"
+_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+_SEPARATORS = bytes.maketrans(_SPACES + _BREAKS, b" " * len(_SPACES) + b"\n" * len(_BREAKS))
+_LINE_BOUNDARY = re.compile(b"[\n" + _BREAKS + b"]")
+# The grammar of a count or vertex id: that of int() less its underscores.
+_INT_TOKEN = re.compile(rb"[+-]?[0-9]+")
+# A token's last eight bytes, read as one little-endian word, become its value
+# in three steps: keep the low nibble of each byte, keep the bytes of its
+# digits (_HIGH_BYTES[d] keeps the d most significant), then merge adjacent
+# 1-, 2- and 4-digit lanes into lanes twice as wide.
+_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+_HIGH_BYTES = np.array([2**64 - 2 ** (64 - 8 * d) for d in range(9)], dtype=np.uint64)
+_LANES = [
+    (np.uint64(10), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+    (np.uint64(100), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+    (np.uint64(10000), np.uint64(32), np.uint64(0xFFFFFFFF)),
+]
+# The edge-list reader works through slices of at least this many bytes, each
+# ending at a line boundary, so that its temporaries stay small.
+_SLICE_BYTES = 1 << 16
+# Bytes of packed adjacency rows, and endpoint pairs, that _rows_from_pairs
+# holds at a time.
+_ROW_BLOCK_BYTES = 1 << 22
+_PAIR_CHUNK = 1 << 14
+# graph6 characters unpacked to bits at a time.
+_GRAPH6_CHUNK = 1 << 20
+
+
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Graph from edge-list text; malformed input raises GraphError.
+
+    The text must be ASCII, and every count and vertex id a decimal integer
+    with an optional sign (no underscores). Blank lines are skipped; lines
+    and tokens are split as ``str.splitlines`` and ``str.split`` split them.
+    """
+    if not text.isascii():
+        at = re.search(r"[^\x00-\x7f]", text).start()
+        row = text.count("\n", 0, at) + 1
+        line = text[text.rfind("\n", 0, at) + 1 :].partition("\n")[0]
+        raise GraphError(f"non-ASCII character {text[at]!r} in line {row} {line!r}")
+    return _read_edge_list(text.encode("ascii"))
+
+
+def _read_edge_list(data: bytes) -> Graph:
+    """Graph from ASCII edge-list bytes.
+
+    Refusals come in the order of a per-line reading, each with its text: the
+    header, the edge count, the first malformed line, then the first pair out
+    of range or a loop, after a warning for every repeat before it. Vectorised
+    checks find each; only the line a message quotes is looked up.
+    """
+    head = None  # (n, m)
+    lines = 0  # non-blank lines after the header
+    malformed = None  # the first malformed edge line
+    bad = None  # (pair, endpoints) of the first pair out of range or a loop
+    pairs = 0  # pairs read into u and v
+    for lo, hi in _line_slices(data):
+        # eight zero bytes ahead let every token end an 8-byte word
+        piece = bytes(8) + data[lo:hi].translate(_SEPARATORS)
+        buf = np.frombuffer(piece, dtype=np.uint8, offset=8)
+        starts, ends = _token_bounds(buf)
+        if not len(starts):
+            continue
+        newlines = np.flatnonzero(buf == 10)
+        # the physical lines with tokens, and their token counts
+        per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+        filled = np.flatnonzero(per_line)
+        counts = per_line[filled]
+
+        def line(at: int) -> str:  # line `at` of this slice, as splitlines() gives it
+            first = lo + int(newlines[at - 1]) + 1 if at else lo
+            return data[first : lo + int(newlines[at]) if at < len(newlines) else hi].decode()
+
+        def token(t: int) -> bytes:
+            return data[lo + starts[t] : lo + ends[t]]
+
+        if head is None:
+            if counts[0] != 2:
+                raise GraphError(f"malformed header {line(filled[0])!r}: expected 'n m'")
+            if not (_INT_TOKEN.fullmatch(token(0)) and _INT_TOKEN.fullmatch(token(1))):
+                raise GraphError(f"malformed header {line(filled[0])!r}: expected integers")
+            head = n, m = int(token(0)), int(token(1))
+            if n < 0 or m < 0:
+                raise GraphError("negative n or m in header")
+            # an edge line takes three bytes and a line boundary at least
+            u = np.empty(min(m, (len(data) - hi + 1) // 4 + len(starts)), dtype=np.int64)
+            v = np.empty_like(u)
+            starts, ends, filled, counts = starts[2:], ends[2:], filled[1:], counts[1:]
+        lines += len(filled)
+        if malformed is not None or not len(starts):
+            continue
+        # two tokens on every line, each an optional sign and then digits
+        signed = (buf[starts] == 43) | (buf[starts] == 45)
+        odd = np.flatnonzero((buf - 48 > 9) & (buf != 32) & (buf != 10))
+        odd = odd[odd >= starts[0]]
+        holder = np.searchsorted(starts, odd, side="right") - 1
+        misfits = np.concatenate((
+            holder[(starts[holder] != odd) | ~signed[holder]],
+            np.flatnonzero(signed & (ends - starts == 1)),
+        ))
+        wrong = filled[counts != 2]
+        if len(wrong) or len(misfits):
+            malformed = line(np.concatenate((wrong, np.searchsorted(newlines, starts[misfits]))).min())
+            continue
+        if bad is not None:
+            continue
+        got = _token_values(piece, starts, ends, signed)
+        a, b = got[0::2], got[1::2]
+        off = (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)
+        if off.any():
+            at = int(off.argmax())
+            bad = pairs + at, int(token(2 * at)), int(token(2 * at + 1))
+        if pairs + len(a) <= len(u):  # more pairs than the header claims fail below
+            u[pairs : pairs + len(a)], v[pairs : pairs + len(b)] = a, b
+        pairs += len(a)
+    if head is None:
         raise GraphError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError(f"malformed header {lines[0]!r}: expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphError(f"malformed header {lines[0]!r}: expected integers")
-    if n < 0 or m < 0:
-        raise GraphError("negative n or m in header")
-    if len(lines) - 1 != m:
-        raise GraphError(f"header claims {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"malformed edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"malformed edge line {ln!r}")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    n, m = head
+    if lines != m:
+        raise GraphError(f"header claims {m} edges, found {lines}")
+    if malformed is not None:
+        raise GraphError(f"malformed edge line {malformed!r}")
+    if bad is not None:
+        at, a, b = bad
+        _warn_repeats(n, u[:at], v[:at])
+        if a == b and 0 <= a < n:
+            raise GraphError(f"self-loop at vertex {a}")
+        raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+    return _rows_from_pairs(n, u, v)
+
+
+def _line_slices(data: bytes) -> Iterator[tuple[int, int]]:
+    """Bounds of consecutive slices of data of at least _SLICE_BYTES, each
+    but the last ending just after a line boundary."""
+    lo = 0
+    while lo < len(data):
+        cut = _LINE_BOUNDARY.search(data, lo + _SLICE_BYTES)
+        hi = cut.end() if cut else len(data)
+        yield lo, hi
+        lo = hi
+
+
+def _token_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the runs of bytes other than " " and "\n"."""
+    solid = (buf != 32) & (buf != 10)
+    flips = np.flatnonzero(solid[1:] != solid[:-1])
+    flips += 1
+    if solid[0]:
+        flips = np.concatenate(([0], flips))
+    if len(flips) % 2:
+        flips = np.append(flips, len(buf))
+    return flips[0::2], flips[1::2]
+
+
+def _token_values(piece: bytes, starts: np.ndarray, ends: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """int64 values of well-formed tokens of piece[8:]; -1 for a value
+    beyond int64, which no vertex id can reach."""
+    digits = ends - starts - signed
+    words = np.ndarray(len(piece) - 7, "<u8", piece, 0, (1,))[ends] & _LOW_NIBBLES
+    words &= _HIGH_BYTES[np.minimum(digits, 8)]
+    for scale, shift, keep in _LANES:
+        words = (words * scale + (words >> shift)) & keep
+    values = words.view(np.int64)
+    values[np.frombuffer(piece, np.uint8)[starts + 8] == 45] *= -1
+    for t in np.flatnonzero(digits > 8):
+        value = int(piece[8 + starts[t] : 8 + ends[t]])
+        values[t] = value if abs(value) < 2**63 else -1
+    return values
+
+
+def _warn_repeats(n: int, u: np.ndarray, v: np.ndarray) -> None:
+    """Warn, in input order, of every pair that repeats an earlier one."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    for i in np.sort(repeats):
+        warnings.warn(f"duplicate edge {int(lo[i]), int(hi[i])} ignored", stacklevel=2)
+
+
+def _rows_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """Trusted graph on n vertices with the edges u[i]v[i].
+
+    The pairs must be in range and loop-free. A pair that repeats an earlier
+    one, in either orientation, is kept once and warned of. Rows are packed
+    little-endian a block of rows at a time and ORed in a chunk of pairs at a
+    time, so that no temporary grows like n² or with the number of edges.
+    """
+    width = (n + 7) // 8
+    span = max(1, _ROW_BLOCK_BYTES // max(width, 1))  # rows per block
+    if n <= span:
+        blocks = [(0, [(u, v), (v, u)])]
+    else:  # every entry, both ways round, grouped by block; empty blocks skipped
+        rows_at, cols_at = np.concatenate((u, v)), np.concatenate((v, u))
+        ids = rows_at // span
+        order = np.argsort(ids, kind="stable")
+        rows_at, cols_at, ids = rows_at[order], cols_at[order], ids[order]
+        del order
+        present, cuts = np.unique(ids, return_index=True)
+        cuts = [*cuts.tolist(), len(ids)]
+        blocks = [
+            (b * span, [(rows_at[lo:hi], cols_at[lo:hi])])
+            for b, lo, hi in zip(present.tolist(), cuts, cuts[1:])
+        ]
+    rows = [0] * n
+    bits = 0
+    block = np.zeros(min(span, n) * width, dtype=np.uint8)
+    view = memoryview(block)
+    for first, runs in blocks:
+        count = min(span, n - first)
+
+        def entries():  # (row in block, byte in row, bit in byte), a chunk at a time
+            for r, c in runs:
+                for k in range(0, len(r), _PAIR_CHUNK):
+                    col = c[k : k + _PAIR_CHUNK]
+                    yield r[k : k + _PAIR_CHUNK] - first, col >> 3, (col & 7).astype(np.uint8)
+
+        # each row is read from its lowest to its highest nonzero byte
+        low = np.full(count, width, dtype=np.int64)
+        high = np.zeros(count, dtype=np.int64)
+        for row, byte, bit in entries():
+            np.minimum.at(low, row, byte)
+            np.maximum.at(high, row, byte + 1)
+            np.bitwise_or.at(block, row * width + byte, np.left_shift(np.uint8(1), bit))
+        low = np.minimum(low, high)
+        base = np.arange(count) * width
+        spans = [
+            int.from_bytes(view[a:b], "little")
+            for a, b in zip((base + low).tolist(), (base + high).tolist())
+        ]
+        bits += sum(map(int.bit_count, spans))
+        rows[first : first + count] = map(operator.lshift, spans, (8 * low).tolist())
+        for row, byte, _ in entries():  # clear the block for the next one
+            block[row * width + byte] = 0
+    if bits != 2 * len(u):
+        _warn_repeats(n, u, v)
+    return Graph(n, rows, _trusted=True)
 
 
 def write_graph6(g: Graph) -> str:
@@ -370,18 +586,19 @@ def parse_graph6(text: str) -> Graph:
         s = s[10:]
     if not s:
         raise GraphError("empty graph6 input")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    # a character outside ASCII encodes to bytes of 128 and up, refused here too
+    data = np.frombuffer(s.encode("utf-8", "surrogatepass"), dtype=np.uint8) - np.uint8(63)
+    if (data > 63).any():
         raise GraphError("invalid graph6 character")
     if data[0] == 63:
         if len(data) > 1 and data[1] == 63:
             raise GraphError("graph6 8-byte size field (n >= 258048) is not supported")
         if len(data) < 4:
             raise GraphError("truncated graph6 size field")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = int(data[1]) << 12 | int(data[2]) << 6 | int(data[3])
         data = data[4:]
     else:
-        n = data[0]
+        n = int(data[0])
         data = data[1:]
     need = n * (n - 1) // 2
     if len(data) != (need + 5) // 6:
@@ -389,27 +606,32 @@ def parse_graph6(text: str) -> Graph:
             f"graph6 bit vector has {len(data)} characters, expected "
             f"exactly {(need + 5) // 6} for n={n}"
         )
-    bits = []
-    for d in data:
-        for shift in range(5, -1, -1):
-            bits.append(d >> shift & 1)
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph.from_edges(n, edges)
+    # bit i, six to a character and high bit first, is the pair (u, v) with
+    # u < v in column order: v(v - 1)/2 + u = i
+    found = [
+        np.flatnonzero(np.unpackbits(data[lo : lo + _GRAPH6_CHUNK, None], axis=1)[:, 2:]) + 6 * lo
+        for lo in range(0, len(data), _GRAPH6_CHUNK)
+    ]
+    bits = np.concatenate([np.zeros(0, dtype=np.int64), *found])
+    bits = bits[bits < need]
+    columns = np.arange(n, dtype=np.int64) * np.arange(-1, n - 1, dtype=np.int64) // 2
+    v = np.searchsorted(columns, bits, side="right") - 1
+    return _rows_from_pairs(n, bits - columns[v], v)
 
 
 def read_graph(source: Union[str, TextIO], fmt: str = "edge-list") -> Graph:
-    """Read a graph from a path or open text stream."""
+    """Read a graph from a path or open text stream; a file must be ASCII."""
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            at = re.search(rb"[^\x00-\x7f]", data).start()
+            raise GraphError(f"{source}: non-ASCII byte 0x{data[at]:02x} at byte offset {at}")
+        if fmt == "edge-list":
+            return _read_edge_list(data)
+        text = data.decode("ascii")
     if fmt == "edge-list":
         return parse_edge_list(text)
     if fmt == "graph6":

@@ -9,7 +9,7 @@ paired with its brute-force oracle.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -57,14 +57,28 @@ def is_63_free(h: Hypergraph3) -> tuple[bool, Optional[tuple[int, ...]]]:
     """True iff no 6 vertices contain 3 or more hyperedges.
 
     Three distinct triples fit inside 6 vertices exactly when their union
-    has size at most 6, so the check scans triples of hyperedges. On
-    failure the witness vertex set (the union) is returned.
+    has size at most 6. For each pair A, B of hyperedges, in order, a third
+    C after B fits when it shares at least |A ∪ B| - 3 vertices with A ∪ B,
+    and the hyperedges through those vertices are the only candidates. On
+    failure the witness is the union of the first such A, B, C in
+    ``itertools.combinations`` order.
     """
     es = h.edges
-    for i, j, l in itertools.combinations(range(len(es)), 3):
-        union = set(es[i]) | set(es[j]) | set(es[l])
-        if len(union) <= 6:
-            return False, tuple(sorted(union))
+    through: dict[int, list[int]] = {}  # vertex -> indices of its hyperedges
+    for i, e in enumerate(es):
+        for x in e:
+            through.setdefault(x, []).append(i)
+    for i, a in enumerate(es):
+        for j in range(i + 1, len(es)):
+            union = set(a).union(es[j])
+            shared: dict[int, int] = {}
+            for x in union:
+                ids = through[x]
+                for l in ids[bisect.bisect_right(ids, j) :]:
+                    shared[l] = shared.get(l, 0) + 1
+            fits = [l for l, count in shared.items() if count >= len(union) - 3]
+            if fits:
+                return False, tuple(sorted(union.union(es[min(fits)])))
     return True, None
 
 

@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 
 from reconfig.engine import TJ, TS
-from reconfig.graph import Graph
+from reconfig.graph import Graph, GraphError
 
 
 def independent_ksets(g: Graph, k: int):
@@ -246,3 +246,44 @@ def brute_canonical_form(g: Graph) -> int:
         sum(1 << pos[tuple(sorted((perm[u], perm[v])))] for u, v in edges)
         for perm in itertools.permutations(range(g.n))
     )
+
+
+def brute_parse_edge_list(text: str) -> Graph:
+    """The per-line edge-list reader: split every line, int() every token,
+    and add the edges one by one through ``Graph.from_edges``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GraphError("empty edge-list input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphError(f"malformed header {lines[0]!r}: expected 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphError(f"malformed header {lines[0]!r}: expected integers")
+    if n < 0 or m < 0:
+        raise GraphError("negative n or m in header")
+    if len(lines) - 1 != m:
+        raise GraphError(f"header claims {m} edges, found {len(lines) - 1}")
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphError(f"malformed edge line {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"malformed edge line {ln!r}")
+        edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def brute_is_63_free(edges):
+    """(6,3)-freeness of a triple system by scanning every three triples:
+    (True, None), or (False, union of the first failing three in
+    ``itertools.combinations`` order)."""
+    for i, j, l in itertools.combinations(range(len(edges)), 3):
+        union = set(edges[i]) | set(edges[j]) | set(edges[l])
+        if len(union) <= 6:
+            return False, tuple(sorted(union))
+    return True, None

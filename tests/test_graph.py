@@ -1,12 +1,22 @@
+import hashlib
 import io
 import random
+import warnings
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_canonical_form, brute_independence_number, random_graph
+from oracles import (
+    brute_canonical_form,
+    brute_independence_number,
+    brute_parse_edge_list,
+    random_graph,
+)
+from reconfig import graph as graph_module
+from reconfig.constructions import complement_path
 from reconfig.graph import (
     Graph,
     GraphError,
@@ -142,6 +152,129 @@ def test_parse_edge_list_errors(text):
         parse_edge_list(text)
 
 
+def _outcome(parse, text):
+    """(graph or GraphError text, warning texts) of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except GraphError as exc:
+            result = f"GraphError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def _token(draw, value, wild):
+    forms = ["plain"] * 8 + ["zeros", "sign"] + ["junk", "drop", "extra"] * wild
+    form = draw(st.sampled_from(forms))
+    if form == "zeros":
+        return ("-" if value < 0 else "") + "0" * draw(st.integers(1, 12)) + str(abs(value))
+    if form == "sign":
+        return ("+" if value >= 0 else "-") + ("0" if draw(st.booleans()) else "") + str(abs(value))
+    if form == "junk":
+        return draw(st.sampled_from(["x", "1.0", "--1", "+", "-", "+-2", "0x1", "1e3", "2a"]))
+    if form == "drop":
+        return ""
+    if form == "extra":
+        return f"{value} {draw(st.integers(-1, 9))}"
+    return str(value)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists with mutations: bad tokens and token counts, blank lines,
+    every ASCII separator, signs, leading zeros, range faults, loops,
+    repeats in both orientations and a wrong header count."""
+    n = draw(st.integers(0, 7))
+    vertex = st.integers(-2, n + 1) if draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if pairs else 0):  # repeats, either way round
+        a, b = draw(st.sampled_from(pairs))
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from([(a, b), (b, a)])))
+    m = len(pairs) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    wild = draw(st.booleans())  # malformed tokens and token counts
+    rows = [[str(n), str(m)]] + [[_token(draw, a, wild), _token(draw, b, wild)] for a, b in pairs]
+    gap = st.sampled_from([" "] * 6 + ["\t", "  ", " \t ", "\x1f"])
+    pad = st.sampled_from([""] * 6 + [" ", "\t", "\x1f "])
+    end = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e"])
+    text = []
+    for row in rows:
+        while draw(st.integers(0, 9)) == 9:  # blank and whitespace-only lines
+            text.append(draw(pad) + draw(end))
+        text.append(draw(pad) + draw(gap).join(row) + draw(pad) + draw(end))
+    return "".join(text)[: len("".join(text)) - draw(st.sampled_from([0] * 5 + [1]))]
+
+
+@given(edge_list_texts())
+@settings(max_examples=600, deadline=None)
+def test_parse_edge_list_matches_per_line_oracle(text):
+    want = _outcome(brute_parse_edge_list, text)
+    assert _outcome(parse_edge_list, text) == want
+    # text slices, row blocks and pair chunks of a few bytes, rows and pairs
+    with mock.patch.multiple(graph_module, _SLICE_BYTES=6, _ROW_BLOCK_BYTES=2, _PAIR_CHUNK=3):
+        assert _outcome(parse_edge_list, text) == want
+
+
+def _digest(g):
+    h = hashlib.sha256(str(g.n).encode())
+    for row in g.adj:
+        h.update(row.to_bytes((g.n + 7) // 8, "little"))
+    return h.hexdigest()
+
+
+def test_parse_edge_list_large_inputs_match_oracle():
+    # the complement of P_600 (179,101 edges), lines in reverse order
+    g, _ = complement_path(600)
+    lines = write_edge_list(g).splitlines(keepends=True)
+    text = lines[0] + "".join(reversed(lines[1:]))
+    assert parse_edge_list(text) == brute_parse_edge_list(text) == g
+    # a path on 65,536 vertices, its rows compared by digest one at a time
+    n = 65536
+    text = f"{n} {n - 1}\n" + "".join(f"{v + 1} {v}\n" for v in range(n - 1))
+    want = _digest(brute_parse_edge_list(text))
+    got = parse_edge_list(text)
+    assert _digest(got) == want
+    assert got.adj[0] == 2 and got.adj[n - 1] == 1 << (n - 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # int() accepts underscores between digits; the reader does not
+        ("11 1\n0 1_0\n", "malformed edge line '0 1_0'"),
+        ("1_0 0\n", "malformed header '1_0 0': expected integers"),
+        # nor digits or spaces outside ASCII
+        ("3 1\n0 \u0661\n", "non-ASCII character '\u0661' in line 2 '0 \u0661'"),
+        ("3 1\n0 1\xa0\n", "non-ASCII character '\\xa0' in line 2 '0 1\\xa0'"),
+    ],
+)
+def test_parse_edge_list_narrower_than_int(text, message):
+    brute_parse_edge_list(text)  # the per-line reader took these
+    with pytest.raises(GraphError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
+def test_read_graph_refuses_non_ascii_bytes(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"3 1\n0 1\xc2\xa0\n")
+    with pytest.raises(GraphError) as exc:
+        read_graph(str(path))
+    assert str(exc.value) == f"{path}: non-ASCII byte 0xc2 at byte offset 7"
+    path.write_bytes(b"\xffD?{")
+    with pytest.raises(GraphError, match="non-ASCII byte 0xff at byte offset 0"):
+        read_graph(str(path), fmt="graph6")
+
+
+def test_read_graph_crlf_file_matches_text(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"4 3\r\n2 3\r\n\r\n0 1\r1 3\r\n")
+    assert read_graph(str(path)) == parse_edge_list("4 3\n2 3\n0 1\n1 3\n")
+    path.write_bytes(b"4 3\r\n2 3 1\r\n0 1\r\n1 3\r\n")
+    with pytest.raises(GraphError) as exc:
+        read_graph(str(path))
+    assert str(exc.value) == "malformed edge line '2 3 1'"
+
+
 def test_graph6_star():
     g = parse_graph6("D?{")
     assert sorted(g.edges()) == [(0, 4), (1, 4), (2, 4), (3, 4)]
@@ -166,6 +299,12 @@ def test_graph6_size_forms_against_networkx():
         theirs = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(1000))
         s = nx.to_graph6_bytes(theirs, header=False).decode().strip()
         assert parse_graph6(s) == Graph.from_edges(n, theirs.edges())
+
+
+def test_graph6_n500_against_networkx():
+    theirs = nx.gnp_random_graph(500, 0.3, seed=500)
+    s = nx.to_graph6_bytes(theirs, header=False).decode().strip()
+    assert parse_graph6(s) == Graph.from_edges(500, theirs.edges())
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,15 @@ def test_cli_diameter_no_independent_set(tmp_path, capsys):
     assert data["diameter"] is None and data["reason"] == "no independent set"
 
 
+def test_cli_refuses_non_ascii_input(tmp_path, capsys):
+    path = tmp_path / "nbsp.edges"
+    path.write_bytes(b"3 1\n0 1\xc2\xa0\n")
+    code, out, err = run_cli(capsys, "diameter", str(path), "--k", "1")
+    assert code == cli.EX_REFUSED == 2
+    assert out == ""
+    assert err == f"{path}: non-ASCII byte 0xc2 at byte offset 7\n"
+
+
 def test_cli_diameter_capped(tmp_path, capsys):
     g, _ = complement_path(8)
     path = str(tmp_path / "p8.edges")

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from oracles import random_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_is_63_free, random_graph
 from reconfig import engine as E
 from reconfig import verify as V
 from reconfig.constructions import JunctionSpec, complement_path
@@ -30,6 +33,33 @@ def test_is_63_free():
     assert V.is_63_free(Hypergraph3(3, ((0, 1, 2),)))[0]
     # three triples on 7 vertices are fine
     assert V.is_63_free(Hypergraph3(7, ((0, 1, 2), (2, 3, 4), (4, 5, 6))))[0]
+
+
+@st.composite
+def triple_systems(draw):
+    n = draw(st.integers(3, 14))
+    triples = st.sets(st.integers(0, n - 1), min_size=3, max_size=3).map(lambda s: tuple(sorted(s)))
+    return Hypergraph3(n, tuple(draw(st.lists(triples, max_size=16, unique=True))))
+
+
+@given(triple_systems())
+@settings(max_examples=250, deadline=None)
+def test_is_63_free_matches_brute_oracle(h):
+    assert V.is_63_free(h) == brute_is_63_free(h.edges)
+
+
+def test_is_63_free_oracle_cases_both_ways():
+    # seeded systems on 9..30 vertices: sparse ones are free, dense ones not
+    rng = random.Random(63)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(9, 30)
+        pool = list(itertools.combinations(range(n), 3))
+        h = Hypergraph3(n, tuple(rng.sample(pool, rng.randint(2, min(14, n)))))
+        want = brute_is_63_free(h.edges)
+        assert V.is_63_free(h) == want
+        outcomes.add(want[0])
+    assert outcomes == {True, False}
 
 
 def test_extract_63_circulant(circ17):
