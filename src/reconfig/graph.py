@@ -329,17 +329,6 @@ _SEPARATORS = bytes.maketrans(_SPACES + _BREAKS, b" " * len(_SPACES) + b"\n" * l
 _LINE_BOUNDARY = re.compile(b"[\n" + _BREAKS + b"]")
 # The grammar of a count or vertex id: that of int() less its underscores.
 _INT_TOKEN = re.compile(rb"[+-]?[0-9]+")
-# A token's last eight bytes, read as one little-endian word, become its value
-# in three steps: keep the low nibble of each byte, keep the bytes of its
-# digits (_HIGH_BYTES[d] keeps the d most significant), then merge adjacent
-# 1-, 2- and 4-digit lanes into lanes twice as wide.
-_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
-_HIGH_BYTES = np.array([2**64 - 2 ** (64 - 8 * d) for d in range(9)], dtype=np.uint64)
-_LANES = [
-    (np.uint64(10), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
-    (np.uint64(100), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
-    (np.uint64(10000), np.uint64(32), np.uint64(0xFFFFFFFF)),
-]
 # The edge-list reader works through slices of at least this many bytes, each
 # ending at a line boundary, so that its temporaries stay small.
 _SLICE_BYTES = 1 << 16
@@ -347,8 +336,6 @@ _SLICE_BYTES = 1 << 16
 # holds at a time.
 _ROW_BLOCK_BYTES = 1 << 22
 _PAIR_CHUNK = 1 << 14
-# graph6 characters unpacked to bits at a time.
-_GRAPH6_CHUNK = 1 << 20
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -380,9 +367,7 @@ def _read_edge_list(data: bytes) -> Graph:
     bad = None  # (pair, endpoints) of the first pair out of range or a loop
     pairs = 0  # pairs read into u and v
     for lo, hi in _line_slices(data):
-        # eight zero bytes ahead let every token end an 8-byte word
-        piece = bytes(8) + data[lo:hi].translate(_SEPARATORS)
-        buf = np.frombuffer(piece, dtype=np.uint8, offset=8)
+        buf = np.frombuffer(data[lo:hi].translate(_SEPARATORS), dtype=np.uint8)
         starts, ends = _token_bounds(buf)
         if not len(starts):
             continue
@@ -429,7 +414,7 @@ def _read_edge_list(data: bytes) -> Graph:
             continue
         if bad is not None:
             continue
-        got = _token_values(piece, starts, ends, signed)
+        got = _token_values(buf, starts, ends, signed)
         a, b = got[0::2], got[1::2]
         off = (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)
         if off.any():
@@ -477,18 +462,18 @@ def _token_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flips[0::2], flips[1::2]
 
 
-def _token_values(piece: bytes, starts: np.ndarray, ends: np.ndarray, signed: np.ndarray) -> np.ndarray:
-    """int64 values of well-formed tokens of piece[8:]; -1 for a value
-    beyond int64, which no vertex id can reach."""
-    digits = ends - starts - signed
-    words = np.ndarray(len(piece) - 7, "<u8", piece, 0, (1,))[ends] & _LOW_NIBBLES
-    words &= _HIGH_BYTES[np.minimum(digits, 8)]
-    for scale, shift, keep in _LANES:
-        words = (words * scale + (words >> shift)) & keep
-    values = words.view(np.int64)
-    values[np.frombuffer(piece, np.uint8)[starts + 8] == 45] *= -1
-    for t in np.flatnonzero(digits > 8):
-        value = int(piece[8 + starts[t] : 8 + ends[t]])
+def _token_values(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """int64 values of well-formed tokens of buf; -1 for a value beyond
+    int64, which no vertex id can reach."""
+    first = starts + signed
+    digits = ends - first
+    values = np.zeros(len(starts), dtype=np.int64)
+    for d in range(min(int(digits.max()), 18)):  # one digit of every token at a time
+        live = np.flatnonzero(digits > d)
+        values[live] = values[live] * 10 + (buf[first[live] + d] - 48)
+    values[buf[starts] == 45] *= -1
+    for t in np.flatnonzero(digits > 18):
+        value = int(buf[starts[t] : ends[t]].tobytes())
         values[t] = value if abs(value) < 2**63 else -1
     return values
 
@@ -508,55 +493,47 @@ def _rows_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
 
     The pairs must be in range and loop-free. A pair that repeats an earlier
     one, in either orientation, is kept once and warned of. Rows are packed
-    little-endian a block of rows at a time and ORed in a chunk of pairs at a
-    time, so that no temporary grows like n² or with the number of edges.
+    little-endian into a buffer of _ROW_BLOCK_BYTES, a block of rows at a
+    time, and each block ORs in its entries from _PAIR_CHUNK pairs at a time,
+    so the packing needs no temporary that grows like n² or with the number
+    of pairs; only the repeat warnings sort all the pairs.
     """
     width = (n + 7) // 8
     span = max(1, _ROW_BLOCK_BYTES // max(width, 1))  # rows per block
-    if n <= span:
-        blocks = [(0, [(u, v), (v, u)])]
-    else:  # every entry, both ways round, grouped by block; empty blocks skipped
-        rows_at, cols_at = np.concatenate((u, v)), np.concatenate((v, u))
-        ids = rows_at // span
-        order = np.argsort(ids, kind="stable")
-        rows_at, cols_at, ids = rows_at[order], cols_at[order], ids[order]
-        del order
-        present, cuts = np.unique(ids, return_index=True)
-        cuts = [*cuts.tolist(), len(ids)]
-        blocks = [
-            (b * span, [(rows_at[lo:hi], cols_at[lo:hi])])
-            for b, lo, hi in zip(present.tolist(), cuts, cuts[1:])
-        ]
-    rows = [0] * n
+    rows = []
     bits = 0
-    block = np.zeros(min(span, n) * width, dtype=np.uint8)
+    chunks = []  # (u part, v part, lowest and highest vertex in them)
+    for k in range(0, len(u), _PAIR_CHUNK):
+        a, b = u[k : k + _PAIR_CHUNK], v[k : k + _PAIR_CHUNK]
+        chunks.append((a, b, int(min(a.min(), b.min())), int(max(a.max(), b.max()))))
+    block = np.empty(min(span, n) * width, dtype=np.uint8)
     view = memoryview(block)
-    for first, runs in blocks:
+    for first in range(0, n, span):
         count = min(span, n - first)
-
-        def entries():  # (row in block, byte in row, bit in byte), a chunk at a time
-            for r, c in runs:
-                for k in range(0, len(r), _PAIR_CHUNK):
-                    col = c[k : k + _PAIR_CHUNK]
-                    yield r[k : k + _PAIR_CHUNK] - first, col >> 3, (col & 7).astype(np.uint8)
-
-        # each row is read from its lowest to its highest nonzero byte
+        block.fill(0)
+        # each row is read from its lowest to its highest nonzero byte, which
+        # spares scanning the zero bytes of wide sparse rows
         low = np.full(count, width, dtype=np.int64)
         high = np.zeros(count, dtype=np.int64)
-        for row, byte, bit in entries():
-            np.minimum.at(low, row, byte)
-            np.maximum.at(high, row, byte + 1)
-            np.bitwise_or.at(block, row * width + byte, np.left_shift(np.uint8(1), bit))
+        for a, b, least, most in chunks:
+            if most < first or least >= first + count:
+                continue
+            for row, col in ((a, b), (b, a)):
+                held = (row >= first) & (row < first + count)
+                row, col = row[held] - first, col[held]
+                byte = col >> 3
+                np.minimum.at(low, row, byte)
+                np.maximum.at(high, row, byte + 1)
+                bit = np.left_shift(np.uint8(1), (col & 7).astype(np.uint8))
+                np.bitwise_or.at(block, row * width + byte, bit)
         low = np.minimum(low, high)
         base = np.arange(count) * width
         spans = [
-            int.from_bytes(view[a:b], "little")
-            for a, b in zip((base + low).tolist(), (base + high).tolist())
+            int.from_bytes(view[lo:hi], "little")
+            for lo, hi in zip((base + low).tolist(), (base + high).tolist())
         ]
         bits += sum(map(int.bit_count, spans))
-        rows[first : first + count] = map(operator.lshift, spans, (8 * low).tolist())
-        for row, byte, _ in entries():  # clear the block for the next one
-            block[row * width + byte] = 0
+        rows.extend(map(operator.lshift, spans, (8 * low).tolist()))
     if bits != 2 * len(u):
         _warn_repeats(n, u, v)
     return Graph(n, rows, _trusted=True)
@@ -608,11 +585,7 @@ def parse_graph6(text: str) -> Graph:
         )
     # bit i, six to a character and high bit first, is the pair (u, v) with
     # u < v in column order: v(v - 1)/2 + u = i
-    found = [
-        np.flatnonzero(np.unpackbits(data[lo : lo + _GRAPH6_CHUNK, None], axis=1)[:, 2:]) + 6 * lo
-        for lo in range(0, len(data), _GRAPH6_CHUNK)
-    ]
-    bits = np.concatenate([np.zeros(0, dtype=np.int64), *found])
+    bits = np.flatnonzero(np.unpackbits(data[:, None], axis=1)[:, 2:])
     bits = bits[bits < need]
     columns = np.arange(n, dtype=np.int64) * np.arange(-1, n - 1, dtype=np.int64) // 2
     v = np.searchsorted(columns, bits, side="right") - 1
