@@ -164,10 +164,13 @@ def _outcome(parse, text):
 
 
 def _token(draw, value, wild):
-    forms = ["plain"] * 8 + ["zeros", "sign"] + ["junk", "drop", "extra"] * wild
+    forms = ["plain"] * 8 + ["zeros", "sign", "huge"] + ["junk", "drop", "extra"] * wild
     form = draw(st.sampled_from(forms))
-    if form == "zeros":
-        return ("-" if value < 0 else "") + "0" * draw(st.integers(1, 12)) + str(abs(value))
+    if form == "zeros":  # past 18 digits the reader takes another path
+        return ("-" if value < 0 else "") + "0" * draw(st.integers(1, 24)) + str(abs(value))
+    if form == "huge":  # 18 and 19 digits, and values at and beyond int64
+        big = ["9" * 18, "-" + "9" * 18, "9" * 19, str(2**63 - 1), str(2**63), "-" + str(2**63), "9" * 30]
+        return draw(st.sampled_from(big))
     if form == "sign":
         return ("+" if value >= 0 else "-") + ("0" if draw(st.booleans()) else "") + str(abs(value))
     if form == "junk":
@@ -212,6 +215,14 @@ def test_parse_edge_list_matches_per_line_oracle(text):
     # text slices, row blocks and pair chunks of a few bytes, rows and pairs
     with mock.patch.multiple(graph_module, _SLICE_BYTES=6, _ROW_BLOCK_BYTES=2, _PAIR_CHUNK=3):
         assert _outcome(parse_edge_list, text) == want
+
+
+def test_parse_edge_list_tokens_of_every_length():
+    # values are summed by digit columns up to 18 digits, longer tokens by int()
+    for pad in range(30):
+        z = "0" * pad
+        for text in (f"9 2\n{z}3 +{z}8\n-{z}0 {z}2\n", f"9 1\n0 {'9' * (pad + 1)}\n"):
+            assert _outcome(parse_edge_list, text) == _outcome(brute_parse_edge_list, text)
 
 
 def _digest(g):
