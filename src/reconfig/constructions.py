@@ -87,8 +87,9 @@ class JunctionSpec:
 
     ``b_order`` lists the outgoing endpoint with its exit vertex first;
     ``a_order`` lists the incoming endpoint with its entry vertex last.
-    ``x_ids``, when given, are the 3k-2 fresh connector vertices (must be
-    disjoint from the host graph and from every other junction).
+    ``x_ids`` are the 3k-2 fresh connector vertices: ``glue`` assigns them,
+    the block above the host graph in junction order, and refuses a spec
+    that sets them.
     """
 
     index: int
@@ -177,8 +178,7 @@ def circulant_ap_graph(p: int, s: "APSet | Iterable[int]") -> tuple[Graph, Build
     splits into |S| induced paths of p-3 nodes each.
 
     Start from a clique on Z_p, delete the edges (i, i+s) and (i, i+2s) for
-    every s in S, then drop vertex 0. Vertex id v carries label v+1 (its
-    residue), so residue conditions remain checkable downstream.
+    every s in S, then drop vertex 0, so vertex id v is residue v+1.
     """
     elems = tuple(s.elements) if isinstance(s, APSet) else tuple(sorted(set(s)))
     if not is_prime(p):
@@ -210,8 +210,7 @@ def circulant_ap_graph(p: int, s: "APSet | Iterable[int]") -> tuple[Graph, Build
                 u, v = r - 1, r2 - 1
                 rows[u] &= ~(1 << v)
                 rows[v] &= ~(1 << u)
-    labels = {v: v + 1 for v in range(n)}
-    g = Graph(n, rows, labels)
+    g = Graph(n, rows)
 
     paths = circulant_paths(p, elems)
     first = paths[elems[0]]
@@ -269,11 +268,11 @@ def glue(
     junctions: list[JunctionSpec],
     start: Iterable[int],
     target: Iterable[int],
-    rule: str = TJ,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> tuple[Graph, BuildReport]:
     """Connect r = len(junctions)+1 components into one, adding 3k-2 fresh
-    vertices per junction.
+    vertices per junction: those of junction i are the ids g.n + i(3k-2)
+    onward.
 
     Junction i arranges the 5k-2 positions b_1..b_k, x_1..x_{3k-2},
     a_1..a_k in sequence; a pair involving at least one fresh vertex is
@@ -283,7 +282,7 @@ def glue(
     positions, and the configuration graph gains a forced corridor of
     length 4k-2 between the two endpoint sets, with one shortcut at each
     end. Claimed diameter: (4k-4)*(r-1) + sum of the measured endpoint
-    distances d_i.
+    distances d_i, under the jump rule.
     """
     if k < 3:
         raise ConstructionError(f"glue needs k >= 3, got {k}")
@@ -294,26 +293,15 @@ def glue(
 
     per = 3 * k - 2
     specs: list[JunctionSpec] = []
-    used: set[int] = set(range(g.n))
     for idx, j in enumerate(junctions):
-        b = _validate_endpoint(g, j.b_order, k, f"junction {idx} B set")
-        a = _validate_endpoint(g, j.a_order, k, f"junction {idx} A set")
-        if j.x_ids is None:
-            xs = tuple(g.n + idx * per + t for t in range(per))
-        else:
-            xs = tuple(j.x_ids)
-        if len(xs) != per:
-            raise ConstructionError(
-                f"junction {idx} needs {per} fresh vertices, got {len(xs)}"
-            )
-        if used & set(xs):
-            raise ConstructionError(f"junction {idx} vertex collision: {sorted(used & set(xs))}")
-        used |= set(xs)
+        _validate_endpoint(g, j.b_order, k, f"junction {idx} B set")
+        _validate_endpoint(g, j.a_order, k, f"junction {idx} A set")
+        if j.x_ids is not None:
+            raise ConstructionError(f"junction {idx} sets x_ids; glue assigns the fresh vertices")
+        xs = tuple(range(g.n + idx * per, g.n + (idx + 1) * per))
         specs.append(JunctionSpec(idx, tuple(j.b_order), tuple(j.a_order), xs))
 
     n_new = g.n + per * len(specs)
-    if used != set(range(n_new)):
-        raise ConstructionError("fresh vertex ids must form a contiguous block above V(G)")
 
     # fresh vertices start complete to everything
     full = (1 << n_new) - 1
@@ -330,7 +318,7 @@ def glue(
                 if u in xset or v in xset:
                     rows[u] &= ~(1 << v)
                     rows[v] &= ~(1 << u)
-    h = Graph(n_new, rows, g.labels)
+    h = Graph(n_new, rows)
 
     # measured distances of the r component endpoint pairs in the host graph
     pairs = []
@@ -341,7 +329,7 @@ def glue(
     pairs.append((a_side, target))
     dists = []
     for a, b in pairs:
-        d = engine.distance(g, k, a, b, rule, node_cap)
+        d = engine.distance(g, k, a, b, TJ, node_cap)
         if d is None:
             raise ConstructionError(
                 f"endpoints {tuple(sorted(a))} and {tuple(sorted(b))} are not connected"
@@ -459,7 +447,7 @@ def toll_booth_extend(
     for ell in range(1, n + 1):
         _block_host(rows, g.n, x[6 * ell - 3 - 1], bset)  # open only when g-tokens sit on b
         _block_host(rows, g.n, x[6 * ell - 1], aset)  # open only when g-tokens sit on a
-    h = Graph(n_new, rows, g.labels)
+    h = Graph(n_new, rows)
 
     start = tuple(sorted(a + (x[0], x[1])))
     target = tuple(sorted(a + (x[nx - 2], x[nx - 1])))
@@ -535,8 +523,11 @@ def _consecutive_mod8(labels3: Iterable[int]) -> bool:
     return any({r, (r + 1) % 8, (r + 2) % 8} == rs for r in range(8))
 
 
-def check_ring_properties(h: Graph, p: int, elems: tuple[int, ...]) -> dict:
-    """Label-structure checks on a circulant ring used as a +3 toll stage.
+def check_ring_properties(
+    h: Graph, p: int, elems: tuple[int, ...], labels: list[int]
+) -> dict:
+    """Label-structure checks on a circulant ring used as a +3 toll stage,
+    where ``labels[v]`` is the label of vertex v.
 
     Returns a dict with boolean ``consecutive_mod8`` (every independent
     triple spans three cyclically consecutive residues mod 8),
@@ -545,7 +536,6 @@ def check_ring_properties(h: Graph, p: int, elems: tuple[int, ...]) -> dict:
     from the component's triples (the weakened coverage actually needed:
     empty lists mean full coverage).
     """
-    labels = h.labels or {}
     triples = engine.independent_sets(h, 3)
     consec = all(_consecutive_mod8(labels[v] for v in t) for t in triples)
     transition = True
@@ -557,7 +547,7 @@ def check_ring_properties(h: Graph, p: int, elems: tuple[int, ...]) -> dict:
                 u, v = diff
                 if (labels[u] - labels[v]) % 8 not in (3, 5):
                     transition = False
-    zero_labels = {l for l in labels.values() if l % 8 == 0}
+    zero_labels = {l for l in labels if l % 8 == 0}
     paths = circulant_paths(p, elems)
     missing = {}
     for e, path in paths.items():
@@ -607,8 +597,8 @@ def triple_extend(
     # {j, j+1, j+2} and making the mod-8 structure exact
     h, _ = circulant_ap_graph(p, (s,))
     s_inv = pow(s, -1, p)
-    h = h.relabeled({v: (v + 1) * s_inv % p for v in range(h.n)})
-    props = check_ring_properties(h, p, (s,))
+    labels = [(v + 1) * s_inv % p for v in range(h.n)]
+    props = check_ring_properties(h, p, (s,), labels)
     if not props["consecutive_mod8"]:
         raise ConstructionError(
             "ring property failed: some independent triple lacks consecutive labels mod 8"
@@ -622,22 +612,20 @@ def triple_extend(
     off = g.n
     n_new = g.n + h.n
     rows = list(g.adj) + [h.adj[u] << off for u in range(h.n)]
-    labels = {off + u: h.labels[u] for u in range(h.n)}
     aset, bset = set(a), set(b)
     for u in range(h.n):
-        r8 = h.labels[u] % 8
+        r8 = labels[u] % 8
         if r8 == 0:
             _block_host(rows, g.n, off + u, aset)
         elif r8 == 4:
             _block_host(rows, g.n, off + u, bset)
-    gp = Graph(n_new, rows, labels)
+    gp = Graph(n_new, rows)
 
     # endpoint triples: first and last path nodes with residues {1,2,3}
     path = circulant_paths(p, (s,))[s]
-    lbl = h.labels
 
     def residues(t):
-        return {lbl[v] % 8 for v in t}
+        return {labels[v] % 8 for v in t}
 
     def lift(t):
         return tuple(sorted(v + off for v in t))
@@ -725,7 +713,7 @@ def build_k3_extremal(budget_n: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple[
         junctions.append(JunctionSpec(i, b_order, a_order))
     start = ordered[0][0]
     target = ordered[-1][-1]
-    h, glue_rep = glue(g, 3, junctions, start, target, TJ, node_cap)
+    h, glue_rep = glue(g, 3, junctions, start, target, node_cap)
     nominal = 8 * (len(s) - 1) + len(s) * (p - 3)
     report = BuildReport(
         name="k3-extremal",

@@ -201,17 +201,14 @@ def _independent_keys(g: Graph, k: int) -> list[int]:
 class ConfigComponent:
     """One connected component of the configuration graph.
 
-    ``dist`` maps canonical keys to BFS distance from ``start``, in BFS
+    ``dist`` maps canonical keys to BFS distance from the start node, in BFS
     order, and ``rows`` holds, in the same order, the neighbour keys of
     every node the BFS expanded. When ``capped`` is set the exploration was
     cut off at the node cap and the component is only partially known;
     exact queries refuse such inputs.
     """
 
-    graph: Graph
     k: int
-    rule: str
-    start: tuple[int, ...]
     dist: dict[int, int]
     capped: bool = False
     rows: list[list[int]] = field(default_factory=list, repr=False)
@@ -266,7 +263,7 @@ def _bfs(
 def _component(g: Graph, k: int, rule: str, key: int, node_cap: int) -> ConfigComponent:
     rows: list[list[int]] = []
     dist, capped = _bfs(g, k, rule, key, node_cap, rows=rows)
-    return ConfigComponent(g, k, rule, decode_key(key, k), dist, capped, rows)
+    return ConfigComponent(k, dist, capped, rows)
 
 
 def bfs_component(

@@ -2,8 +2,8 @@
 
 Vertices are 0-based ints. Each adjacency row is a Python int used as an
 n-bit set, which keeps near-complete graphs compact and makes independence
-tests single AND operations. An optional ``labels`` map carries external
-integer names (e.g. residues) that survive vertex deletion and relabeling.
+tests single AND operations. Bit i of an edge mask is pair i of
+``edge_pairs(n)``, the pairs u < v in lexicographic order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 import operator
 import re
 import warnings
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -25,6 +25,10 @@ __all__ = [
     "independence_number",
     "canonical_form",
     "pair_images",
+    "edge_pairs",
+    "mask_to_graph",
+    "graph_to_mask",
+    "MAX_EDGE_LIST_N",
     "parse_edge_list",
     "write_edge_list",
     "parse_graph6",
@@ -50,25 +54,14 @@ class Graph:
     workers; all "mutators" return new graphs.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(
-        self,
-        n: int,
-        adj: Iterable[int],
-        labels: Optional[dict[int, int]] = None,
-        _trusted: bool = False,
-    ):
+    def __init__(self, n: int, adj: Iterable[int], *, _trusted: bool = False):
         rows = tuple(adj)
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
-        if labels is not None:
-            if set(labels) - set(range(n)):
-                raise GraphError("label keys must be vertex ids")
-            if len(set(labels.values())) != len(labels):
-                raise GraphError("labels must be injective")
         if not _trusted and n <= _VALIDATE_LIMIT:
             for u in range(n):
                 if rows[u].bit_length() > n or rows[u] < 0:
@@ -81,7 +74,6 @@ class Graph:
                         raise GraphError(f"asymmetric adjacency at ({u},{v})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", rows)
-        object.__setattr__(self, "labels", dict(labels) if labels else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -89,12 +81,7 @@ class Graph:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Optional[dict[int, int]] = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -106,7 +93,7 @@ class Graph:
                 continue
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows, labels, _trusted=True)
+        return cls(n, rows, _trusted=True)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -157,20 +144,12 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, rows, self.labels, _trusted=True)
-
-    def relabeled(self, labels: dict[int, int]) -> "Graph":
-        """Same graph, new labels map."""
-        return Graph(self.n, self.adj, labels)
+        return Graph(self.n, rows, _trusted=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.adj == other.adj
-            and self.labels == other.labels
-        )
+        return self.n == other.n and self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -188,7 +167,7 @@ def complement(g: Graph) -> Graph:
     """Complement graph: edge uv iff g has no edge uv, u != v."""
     full = (1 << g.n) - 1
     rows = [full ^ g.adj[v] ^ (1 << v) for v in range(g.n)]
-    return Graph(g.n, rows, g.labels, _trusted=True)
+    return Graph(g.n, rows, _trusted=True)
 
 
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
@@ -264,11 +243,34 @@ def _max_clique_size(rows: tuple[int, ...], n: int) -> int:
     return best
 
 
+def edge_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs (u, v), u < v, in lexicographic order: bit i of an
+    edge mask is pair i."""
+    return list(itertools.combinations(range(n), 2))
+
+
+def mask_to_graph(n: int, mask: int) -> Graph:
+    rows = [0] * n
+    for i, (u, v) in enumerate(edge_pairs(n)):
+        if mask >> i & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, rows, _trusted=True)
+
+
+def graph_to_mask(g: Graph) -> int:
+    mask = 0
+    for i, (u, v) in enumerate(edge_pairs(g.n)):
+        if g.adj[u] >> v & 1:
+            mask |= 1 << i
+    return mask
+
+
 def pair_images(n: int) -> np.ndarray:
     """Image of every vertex pair under every vertex permutation.
 
-    Entry ``[p, i]`` is the index, in ``itertools.combinations(range(n), 2)``
-    order, of the image of pair i under the p-th permutation in
+    Entry ``[p, i]`` is the index, in ``edge_pairs(n)`` order, of the image
+    of pair i under the p-th permutation in
     ``itertools.permutations(range(n))`` order; shape (n!, n(n-1)/2), uint16,
     which keeps the temporaries small.
     """
@@ -280,7 +282,7 @@ def pair_images(n: int) -> np.ndarray:
             np.column_stack((np.full(len(perms), f, np.uint16), perms + (perms >= f)))
             for f in range(m)
         ])
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
+    pairs = np.array(edge_pairs(n), dtype=np.intp)
     us, vs = pairs.reshape(-1, 2).T
     pos = np.zeros(n * n, dtype=np.uint16)
     pos[us * n + vs] = pos[vs * n + us] = np.arange(len(us))
@@ -288,19 +290,14 @@ def pair_images(n: int) -> np.ndarray:
 
 
 def canonical_form(g: Graph, limit: int = 8) -> int:
-    """Minimum edge bitmask over all vertex permutations.
+    """Minimum edge bitmask (see ``edge_pairs``) over all vertex permutations.
 
-    Bit i of the mask is pair i of ``itertools.combinations(range(n), 2)``.
     Factorial cost; intended for the small-n exhaustive search and
     isomorphism checks on witnesses.
     """
     if g.n > limit:
         raise GraphError(f"canonical_form refused: n={g.n} exceeds limit {limit}")
-    bits = [
-        i
-        for i, (u, v) in enumerate(itertools.combinations(range(g.n), 2))
-        if g.adj[u] >> v & 1
-    ]
+    bits = list(_iter_bits(graph_to_mask(g)))
     if not bits:
         return 0
     images = pair_images(g.n)[:, bits].astype(np.int64)
@@ -336,6 +333,9 @@ _SLICE_BYTES = 1 << 16
 # holds at a time.
 _ROW_BLOCK_BYTES = 1 << 22
 _PAIR_CHUNK = 1 << 14
+# Largest vertex count an edge-list header may claim: building the rows
+# clears n * ceil(n/8) bytes, whatever the edge count.
+MAX_EDGE_LIST_N = 1 << 17
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -392,6 +392,8 @@ def _read_edge_list(data: bytes) -> Graph:
             head = n, m = int(token(0)), int(token(1))
             if n < 0 or m < 0:
                 raise GraphError("negative n or m in header")
+            if n > MAX_EDGE_LIST_N:
+                raise GraphError(f"header n={n} exceeds the edge-list limit {MAX_EDGE_LIST_N}")
             # an edge line takes three bytes and a line boundary at least
             u = np.empty(min(m, (len(data) - hi + 1) // 4 + len(starts)), dtype=np.int64)
             v = np.empty_like(u)

@@ -13,7 +13,6 @@ construction, with recorded seeds.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import random
@@ -25,14 +24,11 @@ import numpy as np
 from . import engine
 from .constructions import complement_path
 from .engine import DEFAULT_NODE_CAP, TJ
-from .graph import Graph, GraphError, pair_images
+from .graph import Graph, GraphError, edge_pairs, graph_to_mask, mask_to_graph, pair_images
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
     "SearchResult",
-    "edge_pairs",
-    "mask_to_graph",
-    "graph_to_mask",
     "nonisomorphic_masks",
     "exhaustive_search",
     "random_search",
@@ -69,25 +65,6 @@ class SearchResult:
             "trials": self.trials,
             "seed": self.seed,
         }
-
-
-def edge_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
-
-
-def mask_to_graph(n: int, mask: int) -> Graph:
-    pairs = edge_pairs(n)
-    return Graph.from_edges(
-        n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-    )
-
-
-def graph_to_mask(g: Graph) -> int:
-    mask = 0
-    for i, (u, v) in enumerate(edge_pairs(g.n)):
-        if g.adj[u] >> v & 1:
-            mask |= 1 << i
-    return mask
 
 
 def _perm_byte_tables(n: int) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from . import engine
 from .constructions import JunctionSpec, circulant_ap_graph, circulant_paths
 from .engine import DEFAULT_NODE_CAP, TJ, NodeCapExceeded
-from .graph import Graph, GraphError, complement, is_independent
+from .graph import Graph, GraphError, is_independent
 
 __all__ = [
     "Hypergraph3",
@@ -161,17 +161,14 @@ def is_config_path(
 
 def _path_defect(comp: engine.ConfigComponent) -> Optional[str]:
     """Why an uncapped component is not a path, or None when it is one;
-    degrees come from the component's neighbour rows."""
-    if comp.size == 1:
-        return None
+    degrees come from the component's neighbour rows. A component is
+    connected, so it is a path iff it is a tree with no degree above 2."""
     degs = [len(row) for row in comp.rows]
     n_edges = sum(degs) // 2
     if n_edges != comp.size - 1:
         return f"{n_edges} edges on {comp.size} nodes"
     if max(degs) > 2:
         return "a node has degree > 2"
-    if degs.count(1) != 2:
-        return f"{degs.count(1)} endpoints"
     return None
 
 
@@ -296,14 +293,13 @@ def check_junction_windows(
     g: Graph,
     k: int,
     junctions: list[JunctionSpec],
-    rule: str = TJ,
 ) -> tuple[bool, list[str]]:
     """Verify the junction structure of a glued graph.
 
     Every independent k-set touching a junction's fresh vertices must be a
     window of k consecutive positions of that junction's sequence, and sets
     containing an inner fresh vertex must have exactly two neighbors in the
-    configuration graph.
+    jump-rule configuration graph.
     """
     failures: list[str] = []
     all_sets = engine.independent_sets(g, k)
@@ -327,7 +323,7 @@ def check_junction_windows(
                 )
                 continue
             if set(s) & inner:
-                deg = len(engine.neighbors(g, s, rule))
+                deg = len(engine.neighbors(g, s, TJ))
                 if deg != 2:
                     failures.append(
                         f"junction {spec.index}: window {s} has degree {deg}, "

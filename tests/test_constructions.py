@@ -42,7 +42,6 @@ def test_complement_path_rows_match_definition():
 def test_circulant_17(circ17):
     g, rep = circ17
     assert g.n == 16
-    assert g.labels == {v: v + 1 for v in range(16)}
     endpoints_are_valid(g, rep)
     comps = E.enumerate_components(g, 3)
     assert len(comps) == 1 and comps[0].size == 14
@@ -125,10 +124,6 @@ def test_glue_validation(circ41):
     comps = rep.roles["components"]
     pa = [tuple(t) for t in comps[0]["path"]]
     pb = [tuple(t) for t in comps[1]["path"]]
-    bad = JunctionSpec(0, C.orient_endpoint(pa, "b"), C.orient_endpoint(pb, "a"),
-                       x_ids=(0, 1, 2, 3, 4, 5, 6))
-    with pytest.raises(ConstructionError, match="collision"):
-        C.glue(g, 3, [bad], pa[0], pb[-1])
     # residues {1,2,5}: the pair (1,5) differs by 4, an edge of the circulant
     not_indep = JunctionSpec(0, (0, 1, 4), C.orient_endpoint(pb, "a"))
     with pytest.raises(ConstructionError, match="independent"):
@@ -190,12 +185,12 @@ def test_triple_extend_p73(comp_p4):
     assert trep.claimed_diameter_lb == 2 * 2 * (73 // 8 - 1) == 32
     assert trep.extra["measured_distance"] >= 32
 
-    # ring triples whose labels avoid 0 and 4 mod 8 have no edges into the
-    # host graph
-    lbl = gp.labels
+    # ring vertices whose labels avoid 0 and 4 mod 8 have no edges into the
+    # host graph; ring vertex v is residue v - 3, labelled residue / 9 mod p
+    s_inv = pow(9, -1, 73)
     host = set(range(4))
     for v in range(4, gp.n):
-        r = lbl[v] % 8
+        r = (v - 3) * s_inv % 73 % 8
         has_host_edge = any(gp.adj[v] >> u & 1 for u in host)
         assert has_host_edge == (r in (0, 4))
 
@@ -228,7 +223,7 @@ def test_triple_extend_refuses_second_difference(comp_p4):
     # which is even mod 8, so the ring cannot pass the transition check
     assert (C.MAX_RING_P - 8) // 64 == 1 and (C.MAX_RING_P + 1 - 8) // 64 == 2
     ring, _ = C.circulant_ap_graph(137, (9, 17))
-    props = C.check_ring_properties(ring, 137, (9, 17))
+    props = C.check_ring_properties(ring, 137, (9, 17), [v + 1 for v in range(ring.n)])
     assert not props["transition_mod8"]
     g, rep = comp_p4
     for p in (137, 139):
@@ -296,23 +291,19 @@ def test_is_prime():
 
 
 def test_glue_with_explicit_x_ids(circ41):
+    # glue assigns the block above the host graph; even the ids it would
+    # assign are refused when a spec presets them
     g, rep = circ41
     comps = rep.roles["components"]
     pa = [tuple(t) for t in comps[0]["path"]]
     pb = [tuple(t) for t in comps[1]["path"]]
-    spec = JunctionSpec(
-        0,
-        C.orient_endpoint(pa, "b"),
-        C.orient_endpoint(pb, "a"),
-        x_ids=tuple(range(40, 47)),
-    )
+    spec = JunctionSpec(0, C.orient_endpoint(pa, "b"), C.orient_endpoint(pb, "a"))
     h, grep_ = C.glue(g, 3, [spec], pa[0], pb[-1])
     assert h.n == 47 and grep_.claimed_diameter_lb == 82
-    # fresh ids must form the contiguous block above the host graph
-    bad = JunctionSpec(0, spec.b_order, spec.a_order,
-                       x_ids=tuple(range(41, 48)))
-    with pytest.raises(ConstructionError, match="contiguous"):
-        C.glue(g, 3, [bad], pa[0], pb[-1])
+    assert grep_.roles["junctions"][0]["x_ids"] == list(range(40, 47))
+    preset = JunctionSpec(0, spec.b_order, spec.a_order, x_ids=tuple(range(40, 47)))
+    with pytest.raises(ConstructionError, match="junction 0 sets x_ids"):
+        C.glue(g, 3, [preset], pa[0], pb[-1])
 
 
 def test_unmeasured_report_under_node_cap(comp_p4):

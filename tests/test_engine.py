@@ -57,6 +57,10 @@ def test_neighbors_rejects_dependent_set():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(GraphError):
         E.neighbors(g, (0, 1))
+    with pytest.raises(GraphError, match=r"duplicate vertices in \(0, 0\)"):
+        E.neighbors(g, (0, 0))
+    with pytest.raises(GraphError, match="expected 2 vertices, got 1"):
+        E.distance(Graph.empty(3), 2, (0,), (1, 2))
 
 
 @given(st.integers(0, 500))
@@ -129,6 +133,8 @@ def test_shortest_sequence_tiebreak_smallest_key():
 
 def test_validate_sequence_rejects_bad_steps():
     g5, _ = complement_path(5)
+    with pytest.raises(GraphError, match="empty sequence"):
+        E.validate_sequence(g5, [])
     with pytest.raises(GraphError):
         E.validate_sequence(g5, [(0, 1), (2, 3)])  # two tokens moved
     # no edges at all: jumping works, sliding cannot
@@ -410,3 +416,7 @@ def test_key_width_refusal():
     g = Graph.empty((1 << 16) + 1)
     with pytest.raises(GraphError, match="key width"):
         E.bfs_component(g, 1, (0,))
+    with pytest.raises(GraphError, match="vertex 65536 exceeds key width"):
+        E.encode_key([1, 1 << 16])
+    with pytest.raises(GraphError, match="strictly increasing"):
+        E.encode_key([2, 1])

@@ -104,8 +104,14 @@ def test_graph_invariant_checks():
         Graph(2, [0b01, 0b10])  # self-loops
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(GraphError):
-        Graph(2, [0, 0], labels={0: 1, 1: 1})  # non-injective labels
+    with pytest.raises(GraphError, match="vertex count must be nonnegative"):
+        Graph(-1, [])
+    with pytest.raises(GraphError, match="expected 3 adjacency rows, got 2"):
+        Graph(3, [0, 0])
+    with pytest.raises(GraphError, match=r"row 0 has bits outside 0\.\.1"):
+        Graph(2, [0b100, 0])
+    with pytest.raises(TypeError):
+        Graph(2, [0, 0], True)  # the trust flag is keyword-only
 
 
 def test_duplicate_edge_warns_and_dedups():
@@ -265,6 +271,18 @@ def test_parse_edge_list_narrower_than_int(text, message):
     assert str(exc.value) == message
 
 
+def test_edge_list_header_bound():
+    # the rows are cleared n * ceil(n/8) bytes at a time whatever the edge
+    # count, so a header past the bound is refused before any of that
+    n = graph_module.MAX_EDGE_LIST_N
+    g = parse_edge_list(f"{n} 1\n5 {n - 1}\n")
+    assert g.n == n and g.adj[5] == 1 << (n - 1)
+    for big in (n + 1, 100_000_000):
+        with pytest.raises(GraphError) as exc:
+            parse_edge_list(f"{big} 1\n5 {big - 1}\n")
+        assert str(exc.value) == f"header n={big} exceeds the edge-list limit {n}"
+
+
 def test_read_graph_refuses_non_ascii_bytes(tmp_path):
     path = tmp_path / "g.edges"
     path.write_bytes(b"3 1\n0 1\xc2\xa0\n")
@@ -369,13 +387,11 @@ def test_canonical_form_matches_brute_oracle():
         canonical_form(Graph.empty(9))
 
 
-def test_with_edge_and_relabel():
+def test_with_edge_and_immutability():
     g = Graph.empty(3).with_edge(0, 2)
     assert g.has_edge(0, 2) and not g.has_edge(0, 1)
     with pytest.raises(GraphError):
         g.with_edge(1, 1)
-    h = g.relabeled({0: 10, 2: 30})
-    assert h.labels == {0: 10, 2: 30} and h.adj == g.adj
     with pytest.raises(AttributeError):
         g.n = 5
 
@@ -389,6 +405,10 @@ def test_graph6_header_prefix_and_limits():
         parse_graph6("")
     with pytest.raises(GraphError):
         parse_graph6("D")  # truncated bit vector
+    with pytest.raises(GraphError, match="invalid graph6 character"):
+        parse_graph6("D?\x7f")
+    with pytest.raises(GraphError, match="truncated graph6 size field"):
+        parse_graph6("~??")
 
 
 def test_unknown_format_rejected(tmp_path):

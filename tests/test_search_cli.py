@@ -190,6 +190,15 @@ def test_cli_refuses_non_ascii_input(tmp_path, capsys):
     assert err == f"{path}: non-ASCII byte 0xc2 at byte offset 7\n"
 
 
+def test_cli_refuses_oversized_header(tmp_path, capsys):
+    path = tmp_path / "huge.edges"
+    path.write_text("100000000 1\n5 99999999\n")
+    code, out, err = run_cli(capsys, "diameter", str(path), "--k", "2")
+    assert code == cli.EX_REFUSED
+    assert out == ""
+    assert err == "header n=100000000 exceeds the edge-list limit 131072\n"
+
+
 def test_cli_diameter_capped(tmp_path, capsys):
     g, _ = complement_path(8)
     path = str(tmp_path / "p8.edges")

@@ -125,7 +125,10 @@ def test_is_config_path():
     assert not ok and "disconnected" in reason
     # a clique among triples is connected but not a path
     ok, reason = V.is_config_path(Graph.empty(4), 3)
-    assert not ok
+    assert not ok and reason == "6 edges on 4 nodes"
+    # one token sliding on a star: a tree with a node of degree 3
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert V.is_config_path(star, 1, "ts") == (False, "a node has degree > 2")
 
 
 def test_saturate_empty4():
@@ -305,9 +308,11 @@ def test_claim_inter_detects_damage(glued47):
     for h in (w, v):
         rows[x1] &= ~(1 << h)
         rows[h] &= ~(1 << x1)
-    damaged = Graph(g.n, rows, g.labels, _trusted=True)
+    damaged = Graph(g.n, rows, _trusted=True)
     ok, failures = V.check_junction_windows(damaged, 3, specs)
-    assert not ok and failures
+    assert not ok
+    assert f"junction 0: {tuple(sorted((w, v, x1)))} touches fresh vertices but is " \
+        "not a window of consecutive positions" in failures
 
 
 def test_circulant_structure_checks():
