@@ -2,17 +2,14 @@
 
 Subcommands: construct, diameter, decide2, search, verify, apset. All
 emit machine-readable JSON on stdout. Exit codes: 0 success, 1 failed
-check/disagreement, 2 precondition refusal, 3 node cap exceeded, 64 usage.
-
-The environment variable RECONFIG_CACHE_DIR, when set, memoizes exhaustive
-search tables.
+check/disagreement, 2 precondition refusal or unreadable/unwritable file,
+3 node cap exceeded, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -132,17 +129,7 @@ def _cmd_decide2(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.exhaustive:
-        if args.n > search.EXHAUSTIVE_LIMIT:
-            print(
-                f"exhaustive search supports n <= {search.EXHAUSTIVE_LIMIT}; "
-                "use --random T instead",
-                file=sys.stderr,
-            )
-            return EX_REFUSED
-        result = search.exhaustive_search(
-            args.n, args.k, args.rule, args.cap,
-            cache_dir=os.environ.get("RECONFIG_CACHE_DIR"),
-        )
+        result = search.exhaustive_search(args.n, args.k, args.rule, args.cap)
     else:
         trials = args.random if args.random is not None else 100
         result = search.random_search(
@@ -375,7 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"capped: {exc}", file=sys.stderr)
         _emit({"capped": True, "error": str(exc)})
         return EX_CAPPED
-    except (GraphError, APSetError) as exc:
+    except (GraphError, APSetError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EX_REFUSED
 

@@ -13,8 +13,6 @@ construction, with recorded seeds.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -93,7 +91,8 @@ def nonisomorphic_masks(n: int) -> list[int]:
     minimum of its orbit, ascending."""
     if n > EXHAUSTIVE_LIMIT:
         raise GraphError(
-            f"exhaustive enumeration supports n <= {EXHAUSTIVE_LIMIT}, got {n}"
+            f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}, got {n}; "
+            "use --random T instead"
         )
     if n <= 1:
         return [0]
@@ -114,14 +113,6 @@ def nonisomorphic_masks(n: int) -> list[int]:
         m += step
 
 
-# Cache entries carry this format number and are re-verified on load.
-_CACHE_FORMAT = 2
-
-
-def _cache_path(cache_dir: str, n: int, k: int, rule: str) -> str:
-    return os.path.join(cache_dir, f"exhaustive_n{n}_k{k}_{rule}.json")
-
-
 def _class_diameter(
     g: Graph, k: int, rule: str, node_cap: int, caller: str
 ) -> Optional[int]:
@@ -129,62 +120,19 @@ def _class_diameter(
     return rep.exact(caller, node_cap).diameter
 
 
-def _load_cached(
-    path: str, n: int, k: int, rule: str, node_cap: int
-) -> Optional[SearchResult]:
-    """The cached result at ``path`` if it has the current format and its
-    witness re-verifies; None otherwise, so the caller recomputes."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict) or data.get("format") != _CACHE_FORMAT:
-        return None
-    best = data.get("best_diameter")
-    masks = data.get("best_masks")
-    witness = data.get("witness_edges")
-    if best is None:
-        # only k > n leaves every n-vertex graph without an independent k-set
-        ok = k > n and masks == [] and witness is None
-    elif masks and isinstance(masks[0], int):
-        wg = mask_to_graph(n, masks[0])
-        ok = (
-            _class_diameter(wg, k, rule, node_cap, "exhaustive_search") == best
-            and [list(e) for e in wg.edges()] == witness
-        )
-    else:
-        ok = False
-    if not ok:
-        return None
-    return SearchResult(
-        n, k, rule, best,
-        [tuple(e) for e in witness] if witness is not None else None,
-        True,
-        classes_examined=data.get("classes_examined"),
-        best_masks=masks,
-    )
-
-
 def exhaustive_search(
     n: int,
     k: int,
     rule: str = TJ,
     node_cap: int = DEFAULT_NODE_CAP,
-    cache_dir: Optional[str] = None,
 ) -> SearchResult:
     """Best configuration-graph diameter over all n-vertex graphs (n <= 7),
     deduplicated by canonical form; every class is examined exactly once.
 
     ``best_masks`` lists the representatives achieving the optimum, so
-    uniqueness up to isomorphism is checkable. Results are memoized in
-    ``cache_dir`` when given; a cached entry is used only after its witness
-    re-verifies. Raises NodeCapExceeded when the cap cuts any class short.
+    uniqueness up to isomorphism is checkable. Raises NodeCapExceeded when
+    the cap cuts any class short.
     """
-    if cache_dir:
-        cached = _load_cached(_cache_path(cache_dir, n, k, rule), n, k, rule, node_cap)
-        if cached is not None:
-            return cached
     reps = nonisomorphic_masks(n)
     best: Optional[int] = None
     best_masks: list[int] = []
@@ -204,15 +152,10 @@ def exhaustive_search(
         if _class_diameter(wg, k, rule, node_cap, "exhaustive_search") != best:
             raise AssertionError("witness failed re-verification")
         witness = list(wg.edges())
-    result = SearchResult(
+    return SearchResult(
         n, k, rule, best, witness, True,
         classes_examined=len(reps), best_masks=best_masks,
     )
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(_cache_path(cache_dir, n, k, rule), "w") as fh:
-            json.dump({**result.to_json(), "format": _CACHE_FORMAT}, fh)
-    return result
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
@@ -259,6 +202,8 @@ def random_search(
     ``workers``, the number of processes the trials are split over. Raises
     NodeCapExceeded when the cap cuts a trial short.
     """
+    if trials < 0:
+        raise GraphError(f"trials must be >= 0, got {trials}")
     workers = max(1, min(workers, trials))
     bounds = [trials * i // workers for i in range(workers + 1)]
     jobs = [(n, k, rule, seed, lo, hi, node_cap) for lo, hi in zip(bounds, bounds[1:])]

@@ -85,7 +85,6 @@ def run_examples() -> tuple[dict, dict]:
 
 
 def test_readme_examples_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("RECONFIG_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
     outputs, files = run_examples()
     assert outputs == COMMANDS

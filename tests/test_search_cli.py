@@ -15,7 +15,7 @@ from reconfig import cli
 from reconfig import search as S
 from reconfig.constructions import complement_path
 from reconfig.engine import NodeCapExceeded
-from reconfig.graph import Graph, canonical_form, write_graph
+from reconfig.graph import Graph, GraphError, canonical_form, write_graph
 
 
 def test_nonisomorphic_class_counts():
@@ -55,9 +55,10 @@ def test_every_rep_is_its_orbit_minimum():
 
 
 def test_exhaustive_limit():
-    from reconfig.graph import GraphError
-
-    with pytest.raises(GraphError):
+    with pytest.raises(
+        GraphError,
+        match=r"exhaustive search supports n <= 7, got 8; use --random T instead",
+    ):
         S.nonisomorphic_masks(8)
 
 
@@ -82,47 +83,19 @@ def test_exhaustive_n6_k3_regression():
     assert len(res.best_masks) == 19
 
 
-def test_exhaustive_cache_roundtrip(tmp_path):
-    first = S.exhaustive_search(5, 2, cache_dir=str(tmp_path))
-    assert (tmp_path / "exhaustive_n5_k2_tj.json").exists()
-    second = S.exhaustive_search(5, 2, cache_dir=str(tmp_path))
-    assert first.to_json() == second.to_json()
-
-
-def test_exhaustive_cache_reverifies_entries(tmp_path):
-    # a planted entry with a wrong diameter is recomputed, not served
-    S.exhaustive_search(6, 2, cache_dir=str(tmp_path))
-    path = tmp_path / "exhaustive_n6_k2_tj.json"
-    data = json.loads(path.read_text())
-    assert data["best_diameter"] == 4
-    data["best_diameter"] = 3
-    path.write_text(json.dumps(data))
-    assert S.exhaustive_search(6, 2, cache_dir=str(tmp_path)).best_diameter == 4
-    # so is an entry whose witness edges are not those of its first mask
-    data = json.loads(path.read_text())
-    data["witness_edges"] = data["witness_edges"][1:]
-    path.write_text(json.dumps(data))
-    res = S.exhaustive_search(6, 2, cache_dir=str(tmp_path))
-    assert len(res.witness_edges) == len(data["witness_edges"]) + 1
-    # and an entry without the current format number, as a capped search
-    # wrote it before the cap refused
-    path.write_text(json.dumps({
-        "n": 6, "k": 2, "rule": "tj", "best_diameter": 3,
-        "witness_edges": [[0, 1]], "exhaustive": True, "classes_examined": 156,
-        "best_masks": [1], "trials": None, "seed": None,
-    }))
-    assert S.exhaustive_search(6, 2, cache_dir=str(tmp_path)).best_diameter == 4
-
-
-def test_exhaustive_search_refuses_at_cap(tmp_path):
+def test_exhaustive_search_refuses_at_cap():
     with pytest.raises(NodeCapExceeded, match="exhaustive_search: node cap 4"):
-        S.exhaustive_search(6, 2, node_cap=4, cache_dir=str(tmp_path))
-    assert not list(tmp_path.iterdir())
+        S.exhaustive_search(6, 2, node_cap=4)
 
 
 def test_random_search_refuses_at_cap():
     with pytest.raises(NodeCapExceeded, match="random_search: node cap 2"):
         S.random_search(6, 2, trials=3, node_cap=2)
+
+
+def test_random_search_refuses_negative_trials():
+    with pytest.raises(GraphError, match="trials must be >= 0, got -5"):
+        S.random_search(6, 2, trials=-5)
 
 
 def test_random_search_deterministic():
@@ -235,6 +208,11 @@ def test_cli_search(capsys):
     assert code == 2
     assert "--random" in err
 
+    code, out, err = run_cli(capsys, "--seed", "1", "search", "--n", "6",
+                             "--k", "2", "--random", "-5")
+    assert code == 2 and out == ""
+    assert "trials must be >= 0, got -5" in err
+
     code, out, _ = run_cli(capsys, "--seed", "3", "search", "--n", "5",
                            "--k", "2", "--random", "10")
     assert code == 0
@@ -267,14 +245,36 @@ def test_cli_verify_saturate_capped(tmp_path, capsys):
     assert "verify saturate: node cap 6" in err
 
 
-def test_cli_search_cached(tmp_path, capsys, monkeypatch):
+def test_cli_search_ignores_cache_dir(tmp_path, capsys, monkeypatch):
+    # RECONFIG_CACHE_DIR once memoized exhaustive results; no environment
+    # variable may let a later run skip the node cap or write files
     monkeypatch.setenv("RECONFIG_CACHE_DIR", str(tmp_path))
-    code, out1, _ = run_cli(capsys, "search", "--n", "4", "--k", "2",
-                            "--exhaustive")
-    assert code == 0 and (tmp_path / "exhaustive_n4_k2_tj.json").exists()
-    code, out2, _ = run_cli(capsys, "search", "--n", "4", "--k", "2",
-                            "--exhaustive")
-    assert out1 == out2
+    code, _, _ = run_cli(capsys, "search", "--n", "6", "--k", "2",
+                         "--exhaustive")
+    assert code == 0
+    code, out, err = run_cli(capsys, "--cap", "7", "search", "--n", "6",
+                             "--k", "2", "--exhaustive")
+    assert code == 3
+    assert json.loads(out)["capped"] is True
+    assert "exhaustive_search: node cap 7" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_file_errors_are_refusals(tmp_path, capsys):
+    missing = str(tmp_path / "missing.edges")
+    code, out, err = run_cli(capsys, "diameter", missing, "--k", "2")
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err and missing in err
+
+    code, out, err = run_cli(capsys, "diameter", str(tmp_path), "--k", "2")
+    assert code == 2 and out == ""
+    assert str(tmp_path) in err
+
+    bad_out = str(tmp_path / "no-such-dir" / "x")
+    code, out, err = run_cli(capsys, "construct", "comp-path", "--n", "5",
+                             "--out", bad_out)
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err and bad_out in err
 
 
 def test_cli_verify(capsys, tmp_path):
