@@ -743,7 +743,14 @@ def build_general(
 ) -> tuple[Graph, BuildReport]:
     """Reach token count k_target by chaining +3 ring extensions over a small
     base chosen by k_target mod 3 (complement of a path, a circulant, or one
-    toll-booth stage)."""
+    toll-booth stage).
+
+    Each ring gets an equal share of the budget still left and takes the
+    largest prime p >= 73 up to that share + 1, clamped to ``MAX_RING_P``,
+    so p <= 131: budget beyond about 135 vertices per ring goes unused, and
+    ``build_general(5, 1000)`` builds the same 134-vertex graph, with the
+    same claimed bound, as ``build_general(5, 200)``.
+    """
     if k_target < 3:
         raise ConstructionError(f"k_target must be at least 3, got {k_target}")
     if k_target == 3:

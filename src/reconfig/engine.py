@@ -15,14 +15,27 @@ is never materialized; one exploration core serves every query:
   ``shortest_sequence`` runs it from the target and walks downhill from
   the source to the smallest neighbour key; neither keeps rows.
 
-Exact diameters come from one all-sources core, ``component_diameter``:
-the component's nodes are indexed in ascending key order and every source
-keeps a bit-parallel reach set, grown by one BFS layer per round by ORing
-neighbours' sets, until all sets are full. The round count is the
-diameter and the witness pair is read off the last round, so no single-
-source search runs. It indexes the rows the BFS stored, so no neighbour
-is generated twice. Sources go in batches of ``_BATCH``, so a component of
-N nodes holds N x ``_BATCH`` bits of reach sets per round.
+Exact diameters come from ``component_diameter``, which indexes the
+component's nodes in ascending key order over the rows the BFS stored, so
+no neighbour is generated twice, and takes one of two branches:
+
+- Short components (the start node's eccentricity e0, the last distance
+  of the enumeration BFS, below ``_BOUNDS_GATE``) run all sources at
+  once: every source keeps a bit-parallel reach set, grown by one BFS
+  layer per round by ORing neighbours' sets, until all sets are full. The
+  round count is the diameter and the witness pair is read off the last
+  round. Sources go in batches of ``_BATCH``, so a component of N nodes
+  holds N x ``_BATCH`` bits of reach sets per round.
+- Long components (e0 >= ``_BOUNDS_GATE``), such as the path-shaped
+  extremal ones, whose N x D rounds cost O(N^2), are certified by
+  eccentricity bounds (F. W. Takes and W. A. Kosters, "Determining the
+  diameter of small world networks", CIKM 2011): each single-source BFS
+  bounds every node's eccentricity from above and below, and a handful of
+  them settle the diameter and the witness. After ``_BOUNDS_BUDGET`` BFS
+  runs that did not, as on a cycle, the component goes to the rounds.
+
+Both branches give the same witness pair: the smallest-key source of
+largest eccentricity and its smallest-key farthest node.
 
 All functions are pure and read-only on the host Graph, so separate
 components can safely be processed by parallel workers.
@@ -36,6 +49,10 @@ from operator import and_, or_
 from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, GraphError, is_independent
+
+# after .graph: imported first, numpy raised the peak RSS of `import
+# reconfig.cli` by 0.5 MB
+import numpy as np
 
 __all__ = [
     "TJ",
@@ -73,6 +90,15 @@ _KEY_MASK = (1 << KEY_BITS) - 1
 # Sources per batch of component_diameter: a batch's reach sets hold at most
 # N x _BATCH bits for a component of N nodes.
 _BATCH = 2048
+
+# component_diameter certifies a component by eccentricity bounds when its
+# start node's eccentricity is at least _BOUNDS_GATE, and hands it to the
+# bit-parallel rounds after _BOUNDS_BUDGET BFS runs that did not settle it.
+# Path-shaped components settle in 2-4 runs. On C_128 under "ts", the
+# shortest cycle at the gate, the spent budget added 3-19% to the rounds'
+# time. No component of at most 64 nodes reaches the gate.
+_BOUNDS_GATE = 64
+_BOUNDS_BUDGET = 6
 
 
 class NodeCapExceeded(RuntimeError):
@@ -398,24 +424,14 @@ def _batch_eccentricity(
     return rounds, lo + bit, far
 
 
-def component_diameter(
-    comp: ConfigComponent,
-) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exact diameter with a deterministic witness pair: the smallest-key
-    source of largest eccentricity and its smallest-key farthest node.
-    Refuses capped components.
-
-    All sources run at once as bit-parallel reach sets, in batches of
-    ``_BATCH`` sources (see ``_batch_eccentricity``): each round grows
-    every set by one BFS layer, and the rounds until all are full give the
-    batch's largest eccentricity. A later batch replaces the best only
-    with a strictly larger one. For a component of N nodes a batch's reach
-    sets hold N x ``_BATCH`` bits, two generations of them during a round.
-    """
-    if comp.capped:
-        raise NodeCapExceeded("cannot compute an exact diameter of a capped component")
-    keys = sorted(comp.dist)
-    index = {key: i for i, key in enumerate(keys)}
+def _rounds_diameter(comp: ConfigComponent, index: dict[int, int]) -> tuple[int, int, int]:
+    """(diameter, source, far) in key indices by the bit-parallel rounds of
+    ``_batch_eccentricity``, in batches of ``_BATCH`` sources: each round
+    grows every reach set by one BFS layer, and the rounds until all are
+    full give the batch's largest eccentricity. A later batch replaces the
+    best only with a strictly larger one. For a component of N nodes a
+    batch's reach sets hold N x ``_BATCH`` bits, two generations of them
+    during a round."""
     # Positions order the nodes by descending degree, so the nodes with a
     # j-th neighbour form a prefix and a round ORs in one slice per j.
     nodes = sorted(zip(comp.dist, comp.rows), key=lambda node: -len(node[1]))
@@ -430,11 +446,120 @@ def component_diameter(
                 cols.append([])
             cols[j].append(pos[index[u]])
     best = (-1, 0, 0)
-    for lo in range(0, len(keys), _BATCH):
-        found = _batch_eccentricity(cols, pos, order, lo, min(lo + _BATCH, len(keys)))
+    for lo in range(0, len(order), _BATCH):
+        found = _batch_eccentricity(cols, pos, order, lo, min(lo + _BATCH, len(order)))
         if found[0] > best[0]:
             best = found
-    d, src, far = best
+    return best
+
+
+def _sweep(adj: list[list[int]], src: int) -> list[int]:
+    """Distances from key index ``src`` by key index: one level-synchronous
+    BFS over the key-indexed rows ``adj`` of a connected component."""
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        layer = []
+        for u in frontier:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    layer.append(w)
+        frontier = layer
+    return dist
+
+
+def _bounds_diameter(
+    comp: ConfigComponent, index: dict[int, int], e0: int
+) -> Optional[tuple[int, int, int]]:
+    """(diameter, source, far) in key indices by Takes-Kosters eccentricity
+    bounds, or None once ``_BOUNDS_BUDGET`` BFS runs did not settle them.
+
+    Every BFS from v, of eccentricity e, bounds each node w at distance d
+    from v: ecc(w) <= e + d and ecc(w) >= max(d, e - d). The enumeration
+    BFS of ``comp`` (eccentricity ``e0``) is the first; each further one
+    starts at the node of largest upper bound, lowest key index first,
+    until no upper bound exceeds the largest eccentricity seen, D. The
+    witness source is then the first node in key order whose lower bound
+    reaches D, a node whose upper bound is below D being skipped and any
+    other one swept; the far end is its first node at distance D.
+    """
+    n = len(index)
+    adj: list[list[int]] = [[]] * n
+    get = index.__getitem__
+    order = list(map(get, comp.dist))
+    for i, row in zip(order, comp.rows):
+        adj[i] = list(map(get, row))
+    first = np.empty(n, np.int64)
+    first[order] = list(comp.dist.values())
+    lower = np.maximum(first, e0 - first)
+    upper = e0 + first
+    diameter = e0
+    # the distances from the lowest-index swept node of eccentricity D,
+    # the only one of them that can be the witness source
+    held = (order[0], first)
+    budget = _BOUNDS_BUDGET
+
+    def sweep(v: int) -> Optional[int]:
+        nonlocal diameter, held, budget
+        if not budget:
+            return None
+        budget -= 1
+        dist = np.array(_sweep(adj, v), np.int64)
+        e = int(dist.max())
+        np.maximum(lower, dist, out=lower)
+        np.maximum(lower, e - dist, out=lower)
+        np.minimum(upper, e + dist, out=upper)
+        if e > diameter or (e == diameter and v < held[0]):
+            diameter, held = e, (v, dist)
+        return e
+
+    while upper.max() > diameter:
+        if sweep(int(upper.argmax())) is None:
+            return None
+    for src in np.flatnonzero(upper >= diameter).tolist():
+        if lower[src] >= diameter:
+            break
+        if upper[src] >= diameter:
+            e = sweep(src)
+            if e is None:
+                return None
+            if e == diameter:
+                break
+    if held[0] != src and sweep(src) is None:
+        return None
+    return diameter, src, int(np.argmax(held[1] == diameter))
+
+
+def component_diameter(
+    comp: ConfigComponent,
+) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Exact diameter with a deterministic witness pair: the smallest-key
+    source of largest eccentricity and its smallest-key farthest node.
+    Refuses capped components.
+
+    The branch is chosen by e0, the eccentricity of the component's start
+    node: the last distance of the enumeration BFS. A component with
+    e0 >= ``_BOUNDS_GATE`` (so more than ``_BOUNDS_GATE`` nodes) is first
+    certified by Takes-Kosters eccentricity bounds (``_bounds_diameter``),
+    which settle a path-shaped component in a handful of BFS runs. One
+    they do not settle within ``_BOUNDS_BUDGET`` runs, such as a cycle,
+    whose nodes share one eccentricity, goes to the bit-parallel rounds
+    (``_rounds_diameter``) like every shorter component, so the bounds cost
+    at most that budget on top. Both branches give the same witness pair.
+    """
+    if comp.capped:
+        raise NodeCapExceeded("cannot compute an exact diameter of a capped component")
+    keys = sorted(comp.dist)
+    index = {key: i for i, key in enumerate(keys)}
+    e0 = next(reversed(comp.dist.values()))
+    found = _bounds_diameter(comp, index, e0) if e0 >= _BOUNDS_GATE else None
+    if found is None:
+        found = _rounds_diameter(comp, index)
+    d, src, far = found
     return d, (decode_key(keys[src], comp.k), decode_key(keys[far], comp.k))
 
 

@@ -355,6 +355,72 @@ def test_diameter_empty12_k3_matches_brute_oracle(batch):
         _assert_matches_oracle(g, 3, TJ)
 
 
+# (gate, budget) of component_diameter: bounds always, bounds with a budget
+# small enough that some components are handed over, bit-parallel always
+BRANCHES = {"bounds": (0, 10**9), "bounds-budget-2": (0, 2), "rounds": (10**9, 0)}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@_with_examples
+@given(small_instances())
+@settings(max_examples=80, deadline=None)
+def test_diameters_match_brute_oracle_both_branches(branch, case):
+    gate, budget = BRANCHES[branch]
+    with mock.patch.object(E, "_BOUNDS_GATE", gate), \
+            mock.patch.object(E, "_BOUNDS_BUDGET", budget):
+        _assert_matches_oracle(*case)
+
+
+def _relabelled(g, seed):
+    perm = random.Random(seed).sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _grid(side):
+    n = side * side
+    rows = [(v, v + 1) for v in range(n) if (v + 1) % side]
+    return Graph.from_edges(n, rows + [(v, v + side) for v in range(n - side)])
+
+
+def _run_branch(comp, gate, budget):
+    """(D, witness pair), BFS runs of the bounds and rounds hand-overs."""
+    with mock.patch.object(E, "_BOUNDS_GATE", gate), \
+            mock.patch.object(E, "_BOUNDS_BUDGET", budget), \
+            mock.patch.object(E, "_sweep", wraps=E._sweep) as sweep, \
+            mock.patch.object(E, "_rounds_diameter", wraps=E._rounds_diameter) as rounds:
+        got = E.component_diameter(comp)
+    return got, sweep.call_count, rounds.call_count
+
+
+@pytest.mark.parametrize("name, g, k, rule", [
+    ("comp_path_n300", _relabelled(complement_path(300)[0], 1), 2, TJ),
+    ("circulant_p211", _relabelled(circulant_ap_graph(211, [1, 5])[0], 2), 3, TJ),
+    ("cycle_200", _cycle(200), 1, TS),
+    ("cycle_201", _cycle(201), 1, TS),
+    ("grid_20x20", _grid(20), 1, TS),
+])
+def test_long_components_same_on_both_branches(name, g, k, rule):
+    for comp in E.enumerate_components(g, k, rule):
+        want, sweeps, rounds = _run_branch(comp, 10**9, E._BOUNDS_BUDGET)
+        assert sweeps == 0 and rounds == 1
+        got, sweeps, rounds = _run_branch(comp, 0, 10**9)
+        assert got == want and rounds == 0
+        if name.startswith("cycle"):
+            # every node of a cycle has the same eccentricity, so no bound
+            # settles another node: the budget runs out and the rounds run
+            assert sweeps >= E._BOUNDS_BUDGET
+            got, sweeps, rounds = _run_branch(comp, E._BOUNDS_GATE, E._BOUNDS_BUDGET)
+            assert got == want and rounds == 1 and sweeps == E._BOUNDS_BUDGET
+        elif name != "grid_20x20":
+            # path-shaped: settled by the bounds at the shipped gate and budget
+            got, sweeps, rounds = _run_branch(comp, E._BOUNDS_GATE, E._BOUNDS_BUDGET)
+            assert got == want and rounds == 0 and 0 < sweeps <= E._BOUNDS_BUDGET
+
+
 def _capped_sizes(comps, node_cap):
     """(size, capped) per component reported under the cap rule: with
     budget b left, a component of s nodes is capped iff s > max(b, 1),
