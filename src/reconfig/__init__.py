@@ -18,7 +18,6 @@ from .apsets import (
 from .constructions import (
     BuildReport,
     ConstructionError,
-    JunctionSpec,
     build_general,
     build_k3_extremal,
     circulant_ap_graph,

@@ -69,15 +69,16 @@ def is_3ap_free(values: Iterable[int]) -> bool:
     return True
 
 
-def max_3ap_free(n: int, limit: int = MAX_EXACT_N) -> APSet:
+def max_3ap_free(n: int) -> APSet:
     """Lexicographically smallest maximum-cardinality 3-AP-free subset of [1, n].
 
     Branch-and-bound over candidates in increasing order, include-before-skip,
     with midpoint-completion pruning: choosing x after s forbids 2x - s. The
     first optimum met in this order is the lexicographically smallest one.
+    Refuses n > ``MAX_EXACT_N``.
     """
-    if n > limit:
-        raise APSetError(f"max_3ap_free refused: n={n} exceeds limit {limit}")
+    if n > MAX_EXACT_N:
+        raise APSetError(f"max_3ap_free refused: n={n} exceeds limit {MAX_EXACT_N}")
     if n <= 0:
         return APSet((), max(n, 0))
     # forbid[t] counts how many chosen pairs would be completed by t

@@ -177,14 +177,9 @@ def _cmd_verify(args) -> int:
         witness = collision
     elif check == "claim-inter":
         g, report = constructions.build_k3_extremal(args.budget, node_cap=args.cap)
-        specs = [
-            constructions.JunctionSpec(
-                j["index"], tuple(j["b_order"]), tuple(j["a_order"]),
-                tuple(j["x_ids"]),
-            )
-            for j in report.roles.get("junctions", [])
-        ]
-        ok, failures = verify.check_junction_windows(g, report.k, specs)
+        ok, failures = verify.check_junction_windows(
+            g, report.k, report.roles.get("junctions", [])
+        )
         witness = failures or None
     elif check == "saturate":
         g = read_graph(args.graph, args.format)

@@ -14,7 +14,7 @@ transition property, so the ring keeps the single difference 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import engine
 from .apsets import APSet, odd_3ap_free
@@ -24,7 +24,6 @@ from .graph import Graph, GraphError, independence_number, is_independent
 __all__ = [
     "ConstructionError",
     "BuildReport",
-    "JunctionSpec",
     "is_prime",
     "complement_path",
     "circulant_ap_graph",
@@ -79,23 +78,6 @@ class BuildReport:
             "roles": self.roles,
             "extra": self.extra,
         }
-
-
-@dataclass(frozen=True)
-class JunctionSpec:
-    """Connector between two component endpoint sets.
-
-    ``b_order`` lists the outgoing endpoint with its exit vertex first;
-    ``a_order`` lists the incoming endpoint with its entry vertex last.
-    ``x_ids`` are the 3k-2 fresh connector vertices: ``glue`` assigns them,
-    the block above the host graph in junction order, and refuses a spec
-    that sets them.
-    """
-
-    index: int
-    b_order: tuple[int, ...]
-    a_order: tuple[int, ...]
-    x_ids: Optional[tuple[int, ...]] = None
 
 
 def is_prime(p: int) -> bool:
@@ -265,7 +247,7 @@ def orient_endpoint(path: list[tuple[int, ...]], end: str) -> tuple[int, ...]:
 def glue(
     g: Graph,
     k: int,
-    junctions: list[JunctionSpec],
+    junctions: list[tuple[Iterable[int], Iterable[int]]],
     start: Iterable[int],
     target: Iterable[int],
     node_cap: int = DEFAULT_NODE_CAP,
@@ -274,15 +256,22 @@ def glue(
     vertices per junction: those of junction i are the ids g.n + i(3k-2)
     onward.
 
-    Junction i arranges the 5k-2 positions b_1..b_k, x_1..x_{3k-2},
-    a_1..a_k in sequence; a pair involving at least one fresh vertex is
-    non-adjacent exactly when its positions differ by at most k-1. Fresh
-    vertices are complete to everything else (other junctions included), so
-    any independent set touching them is a window of k consecutive
-    positions, and the configuration graph gains a forced corridor of
-    length 4k-2 between the two endpoint sets, with one shortcut at each
-    end. Claimed diameter: (4k-4)*(r-1) + sum of the measured endpoint
-    distances d_i, under the jump rule.
+    Junction i is a pair ``(b_order, a_order)``: ``b_order`` lists the
+    outgoing endpoint set with its exit vertex first, ``a_order`` the
+    incoming one with its entry vertex last (see ``orient_endpoint``). It
+    arranges the 5k-2 positions b_1..b_k, x_1..x_{3k-2}, a_1..a_k in
+    sequence; a pair involving at least one fresh vertex is non-adjacent
+    exactly when its positions differ by at most k-1. Fresh vertices are
+    complete to everything else (other junctions included), so any
+    independent set touching them is a window of k consecutive positions,
+    and the configuration graph gains a forced corridor of length 4k-2
+    between the two endpoint sets, with one shortcut at each end. Claimed
+    diameter: (4k-4)*(r-1) + sum of the measured endpoint distances d_i,
+    under the jump rule.
+
+    The report's ``roles["junctions"]`` holds one record per junction,
+    ``{"index", "b_order", "a_order", "x_ids"}``, the form that
+    ``verify.check_junction_windows`` reads.
     """
     if k < 3:
         raise ConstructionError(f"glue needs k >= 3, got {k}")
@@ -292,16 +281,18 @@ def glue(
     target = _validate_endpoint(g, target, k, "target endpoint")
 
     per = 3 * k - 2
-    specs: list[JunctionSpec] = []
-    for idx, j in enumerate(junctions):
-        _validate_endpoint(g, j.b_order, k, f"junction {idx} B set")
-        _validate_endpoint(g, j.a_order, k, f"junction {idx} A set")
-        if j.x_ids is not None:
-            raise ConstructionError(f"junction {idx} sets x_ids; glue assigns the fresh vertices")
-        xs = tuple(range(g.n + idx * per, g.n + (idx + 1) * per))
-        specs.append(JunctionSpec(idx, tuple(j.b_order), tuple(j.a_order), xs))
+    records = []
+    for idx, (b_order, a_order) in enumerate(junctions):
+        _validate_endpoint(g, b_order, k, f"junction {idx} B set")
+        _validate_endpoint(g, a_order, k, f"junction {idx} A set")
+        records.append({
+            "index": idx,
+            "b_order": list(b_order),
+            "a_order": list(a_order),
+            "x_ids": list(range(g.n + idx * per, g.n + (idx + 1) * per)),
+        })
 
-    n_new = g.n + per * len(specs)
+    n_new = g.n + per * len(records)
 
     # fresh vertices start complete to everything
     full = (1 << n_new) - 1
@@ -309,9 +300,9 @@ def glue(
     rows = [g.adj[v] | fresh for v in range(g.n)]
     rows += [full ^ (1 << x) for x in range(g.n, n_new)]
     # carve the position windows
-    for spec in specs:
-        seq = list(spec.b_order) + list(spec.x_ids) + list(spec.a_order)
-        xset = set(spec.x_ids)
+    for rec in records:
+        seq = rec["b_order"] + rec["x_ids"] + rec["a_order"]
+        xset = set(rec["x_ids"])
         for i in range(len(seq)):
             for j in range(i + 1, min(i + k, len(seq))):
                 u, v = seq[i], seq[j]
@@ -323,9 +314,9 @@ def glue(
     # measured distances of the r component endpoint pairs in the host graph
     pairs = []
     a_side = start
-    for spec in specs:
-        pairs.append((a_side, spec.b_order))
-        a_side = spec.a_order
+    for rec in records:
+        pairs.append((a_side, rec["b_order"]))
+        a_side = rec["a_order"]
     pairs.append((a_side, target))
     dists = []
     for a, b in pairs:
@@ -336,27 +327,17 @@ def glue(
             )
         dists.append(d)
 
-    r = len(specs) + 1
+    r = len(records) + 1
     claimed = (4 * k - 4) * (r - 1) + sum(dists)
     report = BuildReport(
         name="glue",
-        params={"k": k, "junctions": len(specs)},
+        params={"k": k, "junctions": len(records)},
         k=k,
         claimed_diameter_lb=claimed,
         formula="(4k-4)*(r-1) + sum(d_i), d_i measured per component",
         start=tuple(sorted(start)),
         target=tuple(sorted(target)),
-        roles={
-            "junctions": [
-                {
-                    "index": spec.index,
-                    "b_order": list(spec.b_order),
-                    "a_order": list(spec.a_order),
-                    "x_ids": list(spec.x_ids),
-                }
-                for spec in specs
-            ]
-        },
+        roles={"junctions": records},
         extra={"component_distances": dists},
     )
     return h, report
@@ -710,7 +691,7 @@ def build_k3_extremal(budget_n: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple[
     for i in range(len(ordered) - 1):
         b_order = orient_endpoint(ordered[i], "b")
         a_order = orient_endpoint(ordered[i + 1], "a")
-        junctions.append(JunctionSpec(i, b_order, a_order))
+        junctions.append((b_order, a_order))
     start = ordered[0][0]
     target = ordered[-1][-1]
     h, glue_rep = glue(g, 3, junctions, start, target, node_cap)

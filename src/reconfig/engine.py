@@ -243,9 +243,6 @@ class ConfigComponent:
     def size(self) -> int:
         return len(self.dist)
 
-    def __contains__(self, key: int) -> bool:
-        return key in self.dist
-
 
 def _bfs(
     g: Graph,

@@ -12,7 +12,7 @@ import itertools
 import operator
 import re
 import warnings
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -289,14 +289,14 @@ def pair_images(n: int) -> np.ndarray:
     return pos[perms[:, us] * n + perms[:, vs]]
 
 
-def canonical_form(g: Graph, limit: int = 8) -> int:
+def canonical_form(g: Graph) -> int:
     """Minimum edge bitmask (see ``edge_pairs``) over all vertex permutations.
 
     Factorial cost; intended for the small-n exhaustive search and
-    isomorphism checks on witnesses.
+    isomorphism checks on witnesses, so n is limited to 8.
     """
-    if g.n > limit:
-        raise GraphError(f"canonical_form refused: n={g.n} exceeds limit {limit}")
+    if g.n > 8:
+        raise GraphError(f"canonical_form refused: n={g.n} exceeds limit 8")
     bits = list(_iter_bits(graph_to_mask(g)))
     if not bits:
         return 0
@@ -308,7 +308,7 @@ def canonical_form(g: Graph, limit: int = 8) -> int:
 #
 # Canonical edge-list format: first line "n m", then m lines "u v" with
 # u < v, sorted lexicographically, 0-based, one trailing newline each.
-# graph6 is accepted for interop; output defaults to edge-list.
+# graph6 is accepted for interop; files are written as edge lists.
 
 
 def write_edge_list(g: Graph) -> str:
@@ -594,35 +594,22 @@ def parse_graph6(text: str) -> Graph:
     return _rows_from_pairs(n, bits - columns[v], v)
 
 
-def read_graph(source: Union[str, TextIO], fmt: str = "edge-list") -> Graph:
-    """Read a graph from a path or open text stream; a file must be ASCII."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-        if not data.isascii():
-            at = re.search(rb"[^\x00-\x7f]", data).start()
-            raise GraphError(f"{source}: non-ASCII byte 0x{data[at]:02x} at byte offset {at}")
-        if fmt == "edge-list":
-            return _read_edge_list(data)
-        text = data.decode("ascii")
+def read_graph(path: str, fmt: str = "edge-list") -> Graph:
+    """Read a graph file in ``fmt`` ("edge-list" or "graph6"); the file must
+    be ASCII."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        at = re.search(rb"[^\x00-\x7f]", data).start()
+        raise GraphError(f"{path}: non-ASCII byte 0x{data[at]:02x} at byte offset {at}")
     if fmt == "edge-list":
-        return parse_edge_list(text)
+        return _read_edge_list(data)
     if fmt == "graph6":
-        return parse_graph6(text)
+        return parse_graph6(data.decode("ascii"))
     raise GraphError(f"unknown format {fmt!r}")
 
 
-def write_graph(g: Graph, dest: Union[str, TextIO], fmt: str = "edge-list") -> None:
-    if fmt == "edge-list":
-        text = write_edge_list(g)
-    elif fmt == "graph6":
-        text = write_graph6(g) + "\n"
-    else:
-        raise GraphError(f"unknown format {fmt!r}")
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            fh.write(text)
+def write_graph(g: Graph, path: str) -> None:
+    """Write ``g`` to ``path`` in the canonical edge-list format."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(write_edge_list(g))

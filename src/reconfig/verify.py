@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import engine
-from .constructions import JunctionSpec, circulant_ap_graph, circulant_paths
+from .constructions import circulant_ap_graph, circulant_paths
 from .engine import DEFAULT_NODE_CAP, TJ, NodeCapExceeded
 from .graph import Graph, GraphError, is_independent
 
@@ -292,33 +292,34 @@ def decide_k2_fast(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
 def check_junction_windows(
     g: Graph,
     k: int,
-    junctions: list[JunctionSpec],
+    junctions: list[dict],
 ) -> tuple[bool, list[str]]:
     """Verify the junction structure of a glued graph.
 
-    Every independent k-set touching a junction's fresh vertices must be a
-    window of k consecutive positions of that junction's sequence, and sets
-    containing an inner fresh vertex must have exactly two neighbors in the
-    jump-rule configuration graph.
+    ``junctions`` are the records of a ``glue`` report's
+    ``roles["junctions"]``, each ``{"index", "b_order", "a_order",
+    "x_ids"}``. Every independent k-set touching a junction's fresh vertices
+    must be a window of k consecutive positions of that junction's sequence,
+    and sets containing an inner fresh vertex must have exactly two
+    neighbors in the jump-rule configuration graph.
     """
     failures: list[str] = []
     all_sets = engine.independent_sets(g, k)
-    for spec in junctions:
-        if spec.x_ids is None:
-            raise GraphError(f"junction {spec.index} has no fresh vertex ids")
-        seq = list(spec.b_order) + list(spec.x_ids) + list(spec.a_order)
+    for rec in junctions:
+        index, x_ids = rec["index"], rec["x_ids"]
+        seq = rec["b_order"] + x_ids + rec["a_order"]
         windows = {
             tuple(sorted(seq[i : i + k])) for i in range(len(seq) - k + 1)
         }
-        xset = set(spec.x_ids)
-        inner = set(spec.x_ids[1:-1])
+        xset = set(x_ids)
+        inner = set(x_ids[1:-1])
         for s in all_sets:
             touch = set(s) & xset
             if not touch:
                 continue
             if s not in windows:
                 failures.append(
-                    f"junction {spec.index}: {s} touches fresh vertices but is "
+                    f"junction {index}: {s} touches fresh vertices but is "
                     "not a window of consecutive positions"
                 )
                 continue
@@ -326,7 +327,7 @@ def check_junction_windows(
                 deg = len(engine.neighbors(g, s, TJ))
                 if deg != 2:
                     failures.append(
-                        f"junction {spec.index}: window {s} has degree {deg}, "
+                        f"junction {index}: window {s} has degree {deg}, "
                         "expected 2"
                     )
     return not failures, failures

@@ -147,12 +147,7 @@ def test_criterion_4_glue_bound(glued47):
     g, rep = glued47
     d = E.distance(g, 3, rep.start, rep.target)
     claimed = (4 * 3 - 4) * 1 + sum(rep.extra["component_distances"])
-    specs = [
-        C.JunctionSpec(j["index"], tuple(j["b_order"]), tuple(j["a_order"]),
-                       tuple(j["x_ids"]))
-        for j in rep.roles["junctions"]
-    ]
-    inter_ok, failures = V.check_junction_windows(g, 3, specs)
+    inter_ok, failures = V.check_junction_windows(g, 3, rep.roles["junctions"])
     ok = d is not None and d >= claimed and inter_ok
     report(
         "4 (47-vertex glued instance: distance >= (4k-4)(r-1)+sum d_i)",

@@ -2,7 +2,7 @@ import pytest
 
 from reconfig import engine as E
 from reconfig import constructions as C
-from reconfig.constructions import ConstructionError, JunctionSpec
+from reconfig.constructions import ConstructionError
 from reconfig.engine import TJ
 from reconfig.graph import is_independent
 
@@ -125,7 +125,7 @@ def test_glue_validation(circ41):
     pa = [tuple(t) for t in comps[0]["path"]]
     pb = [tuple(t) for t in comps[1]["path"]]
     # residues {1,2,5}: the pair (1,5) differs by 4, an edge of the circulant
-    not_indep = JunctionSpec(0, (0, 1, 4), C.orient_endpoint(pb, "a"))
+    not_indep = ((0, 1, 4), C.orient_endpoint(pb, "a"))
     with pytest.raises(ConstructionError, match="independent"):
         C.glue(g, 3, [not_indep], pa[0], pb[-1])
     with pytest.raises(ConstructionError, match="k >= 3"):
@@ -290,20 +290,20 @@ def test_is_prime():
     assert not C.is_prime(1) and not C.is_prime(0)
 
 
-def test_glue_with_explicit_x_ids(circ41):
-    # glue assigns the block above the host graph; even the ids it would
-    # assign are refused when a spec presets them
+def test_glue_assigns_fresh_ids(circ41):
+    # glue assigns the block above the host graph and records each
+    # junction as check_junction_windows reads it
     g, rep = circ41
     comps = rep.roles["components"]
     pa = [tuple(t) for t in comps[0]["path"]]
     pb = [tuple(t) for t in comps[1]["path"]]
-    spec = JunctionSpec(0, C.orient_endpoint(pa, "b"), C.orient_endpoint(pb, "a"))
-    h, grep_ = C.glue(g, 3, [spec], pa[0], pb[-1])
+    b_order, a_order = C.orient_endpoint(pa, "b"), C.orient_endpoint(pb, "a")
+    h, grep_ = C.glue(g, 3, [(b_order, a_order)], pa[0], pb[-1])
     assert h.n == 47 and grep_.claimed_diameter_lb == 82
-    assert grep_.roles["junctions"][0]["x_ids"] == list(range(40, 47))
-    preset = JunctionSpec(0, spec.b_order, spec.a_order, x_ids=tuple(range(40, 47)))
-    with pytest.raises(ConstructionError, match="junction 0 sets x_ids"):
-        C.glue(g, 3, [preset], pa[0], pb[-1])
+    assert grep_.roles["junctions"] == [{
+        "index": 0, "b_order": list(b_order), "a_order": list(a_order),
+        "x_ids": list(range(40, 47)),
+    }]
 
 
 def test_unmeasured_report_under_node_cap(comp_p4):

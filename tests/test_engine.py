@@ -313,6 +313,10 @@ ORACLE_EXAMPLES = [
     (_two_paths_complement(), 2, TJ),
     (_two_paths_complement(), 2, TS),
     (Graph.complete(3), 2, TJ),  # no independent set
+    # under the bounds branch, key indices 3 and 5 are swept for the upper
+    # bounds, then the walk over candidate sources sweeps 1, of eccentricity
+    # D = 3
+    (Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 4), (2, 3), (4, 5)]), 2, TS),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import brute_is_63_free, random_graph
 from reconfig import engine as E
 from reconfig import verify as V
-from reconfig.constructions import JunctionSpec, complement_path
+from reconfig.constructions import complement_path
 from reconfig.engine import TJ, NodeCapExceeded
 from reconfig.graph import Graph, GraphError, complement
 from reconfig.verify import Hypergraph3
@@ -283,25 +283,15 @@ def test_decide_k2_degree_tie():
 
 def test_claim_inter(glued47):
     g, rep = glued47
-    specs = [
-        JunctionSpec(j["index"], tuple(j["b_order"]), tuple(j["a_order"]),
-                     tuple(j["x_ids"]))
-        for j in rep.roles["junctions"]
-    ]
-    ok, failures = V.check_junction_windows(g, 3, specs)
+    ok, failures = V.check_junction_windows(g, 3, rep.roles["junctions"])
     assert ok, failures
 
 
 def test_claim_inter_detects_damage(glued47):
     g, rep = glued47
-    specs = [
-        JunctionSpec(j["index"], tuple(j["b_order"]), tuple(j["a_order"]),
-                     tuple(j["x_ids"]))
-        for j in rep.roles["junctions"]
-    ]
     # cut a connector vertex loose from two adjacent host vertices: a
     # non-window independent triple appears and the check must catch it
-    x1 = specs[0].x_ids[0]
+    x1 = rep.roles["junctions"][0]["x_ids"][0]
     w, v = 19, 20  # adjacent-free circulant pair away from both endpoints
     assert not g.adj[w] >> v & 1
     rows = list(g.adj)
@@ -309,10 +299,27 @@ def test_claim_inter_detects_damage(glued47):
         rows[x1] &= ~(1 << h)
         rows[h] &= ~(1 << x1)
     damaged = Graph(g.n, rows, _trusted=True)
-    ok, failures = V.check_junction_windows(damaged, 3, specs)
+    ok, failures = V.check_junction_windows(damaged, 3, rep.roles["junctions"])
     assert not ok
     assert f"junction 0: {tuple(sorted((w, v, x1)))} touches fresh vertices but is " \
         "not a window of consecutive positions" in failures
+
+
+def test_claim_inter_detects_degree_defect(glued47):
+    g, rep = glued47
+    # join x_3 and x_5: the window x_3 x_4 x_5 is no longer independent, so
+    # the windows on either side of it keep a single corridor neighbor
+    x = rep.roles["junctions"][0]["x_ids"]
+    rows = list(g.adj)
+    rows[x[2]] |= 1 << x[4]
+    rows[x[4]] |= 1 << x[2]
+    damaged = Graph(g.n, rows, _trusted=True)
+    ok, failures = V.check_junction_windows(damaged, 3, rep.roles["junctions"])
+    assert not ok
+    assert failures == [
+        f"junction 0: window {tuple(x[1:4])} has degree 1, expected 2",
+        f"junction 0: window {tuple(x[3:6])} has degree 1, expected 2",
+    ]
 
 
 def test_circulant_structure_checks():
