@@ -110,6 +110,11 @@ def _check_rule(rule: str) -> None:
         raise GraphError(f"unknown rule {rule!r}, expected one of {RULES}")
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise GraphError("k must be nonnegative")
+
+
 def encode_key(vertices: Iterable[int]) -> int:
     key = 0
     prev = -1
@@ -200,8 +205,7 @@ def _independent_keys(g: Graph, k: int) -> list[int]:
     """Keys of all independent k-sets of g, ascending: the largest vertex,
     which fills the top 16-bit field, is chosen first, then the next
     largest below it, and so on."""
-    if k < 0:
-        raise GraphError("k must be nonnegative")
+    _check_k(k)
     if k == 0:
         return [0]
     if g.n > 1 << KEY_BITS:

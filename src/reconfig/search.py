@@ -6,13 +6,38 @@ external canonicalizer is involved, and the representative is the minimum
 mask of its orbit. The action is held in per-byte permutation tables, each
 filled by doubling from the ``1 << image`` weights of the byte's pairs under
 every permutation, and the scan jumps from one representative to the next
-unmarked mask by an array search. Random mode samples Erdos-Renyi graphs at
-several densities plus perturbations of the complement-of-path
-construction, with recorded seeds.
+unmarked mask by an array search.
+
+The class diameters then come from one batched array sweep, not from an
+engine call per class. Every n-vertex class shares one node list, the
+k-subsets of ``range(n)`` in key order, and one list of candidate moves
+between subsets that differ in one vertex; the class's edge mask only
+switches them on. A subset is a node of the class when no pair inside it
+is an edge, and a move is an edge of its configuration graph when both
+ends are nodes (under "ts" also the moved pair must be an edge). For a
+chunk of at most ``_CHUNK`` classes the sweep stacks the adjacency
+matrices A and grows the reach matrices R, from the identity on the
+class's nodes, by R <- min(R + R A, 1) per round, all classes at once
+(multi-source BFS as in ``engine``'s rounds, after Then et al., VLDB
+2014). After round r, R holds every pair at distance <= r, so a class's
+largest component diameter is the last round in which its R grew; a class
+with no independent k-set has none.
+
+The node cap is read off the converged R with the budget rule of
+``engine.enumerate_components``: components go in order of their smallest
+key, and one of s nodes is capped iff s > max(node_cap - p, 1), where p
+sums the sizes of the components before it. The first capped class is run
+through the engine, whose NodeCapExceeded carries the explored count. The
+winner is re-verified by the engine as an independent cross-check.
+
+Random mode samples Erdos-Renyi graphs at several densities plus
+perturbations of the complement-of-path construction, with recorded
+seeds, and computes each diameter with the engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +46,7 @@ import numpy as np
 
 from . import engine
 from .constructions import complement_path
-from .engine import DEFAULT_NODE_CAP, TJ
+from .engine import DEFAULT_NODE_CAP, TJ, TS
 from .graph import Graph, GraphError, edge_pairs, graph_to_mask, mask_to_graph, pair_images
 
 __all__ = [
@@ -33,6 +58,14 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT = 7
+
+# Classes per chunk of the batched sweep, which holds C x N x N float32
+# adjacency and reach arrays, N = C(n, k). For n = 7, k = 3 in a fresh
+# process (Python 3.11, numpy 2.4), 256 classes kept the peak RSS at that
+# of the per-class engine loop the sweep replaced (41.9 against 41.8 MB),
+# where 1,024 raised it to 49.3 MB, near the benchmark's 10% bound on
+# peak memory.
+_CHUNK = 256
 
 
 @dataclass
@@ -94,6 +127,8 @@ def nonisomorphic_masks(n: int) -> list[int]:
             f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}, got {n}; "
             "use --random T instead"
         )
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
     if n <= 1:
         return [0]
     tabs = _perm_byte_tables(n)
@@ -113,6 +148,75 @@ def nonisomorphic_masks(n: int) -> list[int]:
         m += step
 
 
+def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables every n-vertex class shares for k tokens.
+
+    ``inner[i]`` is the mask, in ``edge_pairs`` bit order, of the pairs
+    inside the i-th k-subset of ``range(n)`` in key order (colex, as the
+    engine's keys sort). Row m of ``moves`` is (i, j, bit): subsets i < j
+    differ in one vertex, and ``bit`` is the pair the token moves along.
+    """
+    subsets = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+    index = {s: i for i, s in enumerate(subsets)}
+    bit = {pair: b for b, pair in enumerate(edge_pairs(n))}
+    inner = np.array(
+        [sum(1 << bit[p] for p in itertools.combinations(s, 2)) for s in subsets],
+        dtype=np.int64,
+    )
+    moves = []
+    for i, s in enumerate(subsets):
+        for u in s:
+            rest = set(s) - {u}
+            for v in range(u + 1, n):
+                if v not in rest:
+                    j = index[tuple(sorted(rest | {v}))]
+                    moves.append((min(i, j), max(i, j), bit[u, v]))
+    return inner, np.array(moves, dtype=np.int64).reshape(-1, 3)
+
+
+def _sweep(
+    masks: np.ndarray, inner: np.ndarray, moves: np.ndarray, rule: str, node_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(diameter, capped) of every class in ``masks``, by the batched reach
+    rounds over the tables of ``_sweep_tables``: the largest component
+    diameter, -1 for a class with no independent k-set, and whether the
+    engine's node cap would cut the class's enumeration short."""
+    c, n = len(masks), len(inner)
+    indep = masks[:, None] & inner == 0
+    i, j, bit = moves.T
+    active = indep[:, i] & indep[:, j]
+    if rule == TS:
+        active &= masks[:, None] >> bit & 1 == 1
+    adj = np.zeros((c, n, n), dtype=np.float32)
+    adj[:, i, j] = adj[:, j, i] = active
+    reach = np.zeros((c, n, n), dtype=np.float32)
+    reach[:, np.arange(n), np.arange(n)] = indep
+    diameter = np.where(indep.any(axis=1), 0, -1)
+    total = reach.sum(axis=(1, 2))
+    step = np.empty_like(reach)
+    rounds = 0
+    while True:
+        rounds += 1
+        np.matmul(reach, adj, out=step)
+        reach += step
+        np.minimum(reach, 1, out=reach)
+        grown = reach.sum(axis=(1, 2))
+        changed = grown > total
+        if not changed.any():
+            break
+        diameter[changed] = rounds
+        total = grown
+    # a node leads its component when nothing before it in key order is
+    # within reach; the budget left for a component is the cap less the
+    # sizes of the components led by earlier nodes
+    size = reach.sum(axis=2)
+    lead = indep & ~(reach * np.tri(n, k=-1, dtype=np.float32)).any(axis=2)
+    lead_size = np.where(lead, size, 0)
+    before = np.cumsum(lead_size, axis=1) - lead_size
+    capped = (lead & (size > np.maximum(node_cap - before, 1))).any(axis=1)
+    return diameter, capped
+
+
 def _class_diameter(
     g: Graph, k: int, rule: str, node_cap: int, caller: str
 ) -> Optional[int]:
@@ -127,33 +231,43 @@ def exhaustive_search(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SearchResult:
     """Best configuration-graph diameter over all n-vertex graphs (n <= 7),
-    deduplicated by canonical form; every class is examined exactly once.
+    one class per isomorphism class, each represented by the minimum edge
+    mask of its orbit; every class is examined exactly once.
 
-    ``best_masks`` lists the representatives achieving the optimum, so
-    uniqueness up to isomorphism is checkable. Raises NodeCapExceeded when
-    the cap cuts any class short.
+    The class diameters come from the batched sweep of ``_sweep``, in
+    chunks of ``_CHUNK`` classes in representative order. ``best_masks``
+    lists the representatives achieving the optimum, so uniqueness up to
+    isomorphism is checkable, and the first of them is re-verified by the
+    engine before its edges are emitted. Raises NodeCapExceeded, from the
+    engine run on the first class the cap cuts short (by the budget rule of
+    ``engine.enumerate_components``), when the cap cuts any class short.
     """
     reps = nonisomorphic_masks(n)
-    best: Optional[int] = None
-    best_masks: list[int] = []
-    for mask in reps:
-        d = _class_diameter(mask_to_graph(n, mask), k, rule, node_cap, "exhaustive_search")
-        if d is None:
-            continue
-        if best is None or d > best:
-            best = d
-            best_masks = [mask]
-        elif d == best:
-            best_masks.append(mask)
-    witness = None
-    if best is not None:
-        wg = mask_to_graph(n, best_masks[0])
-        # re-verify the witness before emitting it
-        if _class_diameter(wg, k, rule, node_cap, "exhaustive_search") != best:
-            raise AssertionError("witness failed re-verification")
-        witness = list(wg.edges())
+    engine._check_rule(rule)
+    engine._check_k(k)
+    inner, moves = _sweep_tables(n, k)
+    diameters = []
+    for lo in range(0, len(reps), _CHUNK):
+        chunk = reps[lo : lo + _CHUNK]
+        d, capped = _sweep(np.array(chunk, dtype=np.int64), inner, moves, rule, node_cap)
+        if capped.any():
+            mask = chunk[int(capped.argmax())]
+            _class_diameter(mask_to_graph(n, mask), k, rule, node_cap, "exhaustive_search")
+            raise AssertionError(f"the engine did not cap class {mask}, which the sweep capped")
+        diameters.append(d)
+    diameter = np.concatenate(diameters)
+    best = int(diameter.max())
+    if best < 0:
+        return SearchResult(
+            n, k, rule, None, None, True, classes_examined=len(reps), best_masks=[]
+        )
+    best_masks = [reps[i] for i in np.flatnonzero(diameter == best).tolist()]
+    wg = mask_to_graph(n, best_masks[0])
+    # re-verify the witness before emitting it
+    if _class_diameter(wg, k, rule, node_cap, "exhaustive_search") != best:
+        raise AssertionError("witness failed re-verification")
     return SearchResult(
-        n, k, rule, best, witness, True,
+        n, k, rule, best, list(wg.edges()), True,
         classes_examined=len(reps), best_masks=best_masks,
     )
 

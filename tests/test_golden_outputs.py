@@ -1,4 +1,5 @@
-"""Golden outputs: the README CLI examples, byte for byte.
+"""Golden outputs: the README CLI examples and the benchmark's exhaustive
+searches with their edge cases, byte for byte.
 
 Each command runs through ``cli.main`` in a fresh directory; the SHA-256
 digests of its stdout and of every file it writes must equal the recorded
@@ -37,6 +38,26 @@ COMMANDS = {
         "91263c30f1a466e9945da792e1da1d368d2e80494f2774e18e234071a686209b",
     "search --n 5 --k 2 --exhaustive":
         "533e5c5bc9b44cae7b4fbadc75804b04307aedde2ac408a18e1fccfe1f8c5205",
+    "search --n 7 --k 2 --rule tj --exhaustive":
+        "7cdc8a38184418bfef95eb1f30f27135313bdb6a0c4516db149ea6b54fe07d98",
+    "search --n 7 --k 3 --rule tj --exhaustive":
+        "d979a40ff5f2373bf6d5430ba5d65727d47e187f57e20fa6590e7e435b8da7ce",
+    "search --n 7 --k 2 --rule ts --exhaustive":
+        "c014ebdc64fff71d5d3af8f8072613824cecf4f40abb10456358781680ff59bb",
+    "search --n 6 --k 2 --rule tj --exhaustive":
+        "8d8d3c3f868ec9b1a32f2d7850d565c0d3639ead62673289b1d13ccf3251331a",
+    "search --n 6 --k 3 --rule tj --exhaustive":
+        "aa3c9ad5a280ef0351a889cd5672b24ebbdce402d95e18216e7a0230fd26ed63",
+    "search --n 6 --k 2 --rule ts --exhaustive":
+        "da9114cdfafc02b2ff9f9328acad5332623d57070e5d87f83d0370979bf7196d",
+    "search --n 7 --k 8 --exhaustive":
+        "28fa4306e40d767daa9ec7da4dc20ecfd11a587386ab72adebea8413e7c0d505",
+    "search --n 0 --k 1 --exhaustive":
+        "af3d91bb642dca2b93a889e777f0404a0603b4bcab47100b9d78daf1f40c9d1f",
+    "search --n 1 --k 1 --exhaustive":
+        "47bb59f64bde44e3bc60a86c6516e50d2d1ca39989a03a2d974f542b67c9f8ce",
+    "search --n 2 --k 0 --exhaustive":
+        "1ee11dda741b84343a20b7c9521cf59853c95d337eeaabc90477fe0a0168208c",
     "--seed 1 search --n 20 --k 3 --random 20":
         "08bdf3167398501b3a8e2f08f123debcc2e7f201aed4e6a8e4827aac26ad2e66",
     "verify circulant-structure --p 17 --s 1":

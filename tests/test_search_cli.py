@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_perm_byte_tables
+from oracles import brute_component_diameters, brute_perm_byte_tables
 import reconfig
 from reconfig import cli
+from reconfig import engine as E
 from reconfig import search as S
 from reconfig.constructions import complement_path
-from reconfig.engine import NodeCapExceeded
+from reconfig.engine import TJ, TS, NodeCapExceeded
 from reconfig.graph import Graph, GraphError, canonical_form, write_graph
 
 
@@ -77,15 +80,89 @@ def test_exhaustive_no_independent_set():
 
 
 def test_exhaustive_n6_k3_regression():
-    # ground truth established by the exhaustive run itself
     res = S.exhaustive_search(6, 3)
     assert res.best_diameter == 3
     assert len(res.best_masks) == 19
+    # independent ground truth: the networkx atlas lists each 6-vertex graph
+    # once, and the brute oracle computes its diameter on the explicit
+    # configuration graph
+    import networkx as nx
+
+    diameters = {}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == 6:
+            g = Graph.from_edges(6, list(h.edges()))
+            found = brute_component_diameters(g, 3)
+            diameters[canonical_form(g)] = found[0] if found else None
+    assert len(diameters) == 156
+    best = max(d for d in diameters.values() if d is not None)
+    assert best == 3
+    assert sorted(m for m, d in diameters.items() if d == best) == res.best_masks
+
+
+def _swept(n, k, rule, node_cap, masks):
+    """(diameter or None, capped) of each mask, all swept as one chunk."""
+    inner, moves = S._sweep_tables(n, k)
+    diameters, capped = S._sweep(np.array(masks, dtype=np.int64), inner, moves, rule, node_cap)
+    return [(None if d < 0 else d, c) for d, c in zip(diameters.tolist(), capped.tolist())]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_engine(data):
+    n = data.draw(st.integers(0, 8), label="n")
+    k = data.draw(st.sampled_from((0, 1, 2, 3, 4, n + 1, n + 3)), label="k")
+    rule = data.draw(st.sampled_from((TJ, TS)), label="rule")
+    node_cap = data.draw(st.integers(0, 40), label="node_cap")
+    masks = data.draw(
+        st.lists(st.integers(0, (1 << n * (n - 1) // 2) - 1), min_size=1, max_size=6),
+        label="masks",
+    )
+    got = _swept(n, k, rule, node_cap, masks)
+    for mask, (diameter, capped) in zip(masks, got):
+        g = S.mask_to_graph(n, mask)
+        comps = E.enumerate_components(g, k, rule, node_cap)
+        assert capped == any(c.capped for c in comps), mask
+        assert diameter == E.max_component_diameter(g, k, rule).diameter, mask
 
 
 def test_exhaustive_search_refuses_at_cap():
-    with pytest.raises(NodeCapExceeded, match="exhaustive_search: node cap 4"):
+    with pytest.raises(NodeCapExceeded) as exc:
         S.exhaustive_search(6, 2, node_cap=4)
+    assert str(exc.value) == "exhaustive_search: node cap 4 reached after 4 configuration nodes"
+    with pytest.raises(NodeCapExceeded) as exc:
+        S.exhaustive_search(6, 1, node_cap=0)
+    assert str(exc.value) == "exhaustive_search: node cap 0 reached after 1 configuration nodes"
+
+
+def test_exhaustive_search_refusals_come_first(monkeypatch):
+    def no_tables(n, k):
+        raise AssertionError("tables built before the refusal")
+
+    monkeypatch.setattr(S, "_sweep_tables", no_tables)
+    with pytest.raises(GraphError) as exc:
+        S.exhaustive_search(6, -1)
+    assert str(exc.value) == "k must be nonnegative"
+    with pytest.raises(GraphError) as exc:
+        S.exhaustive_search(5, 2, rule="xx")
+    assert str(exc.value) == "unknown rule 'xx', expected one of ('tj', 'ts')"
+    with pytest.raises(GraphError) as exc:
+        S.exhaustive_search(-1, 1)
+    assert str(exc.value) == "vertex count must be nonnegative"
+
+
+def test_exhaustive_search_never_hides_a_disagreement(monkeypatch):
+    # a class the sweep calls capped must raise the engine's refusal; when
+    # the engine finds no cap there, the search fails loudly
+    sweep = S._sweep
+
+    def capped_everywhere(*args):
+        diameters, capped = sweep(*args)
+        return diameters, np.ones_like(capped)
+
+    monkeypatch.setattr(S, "_sweep", capped_everywhere)
+    with pytest.raises(AssertionError, match="the engine did not cap class 0"):
+        S.exhaustive_search(5, 2)
 
 
 def test_random_search_refuses_at_cap():
@@ -229,9 +306,13 @@ def test_cli_search_exhaustive_capped(capsys):
     # search refuses instead of reporting a lower bound as exhaustive
     code, out, err = run_cli(capsys, "--cap", "4", "search", "--n", "6",
                              "--k", "2", "--exhaustive")
+    message = "exhaustive_search: node cap 4 reached after 4 configuration nodes"
     assert code == 3
-    assert json.loads(out)["capped"] is True
-    assert "exhaustive_search" in err
+    assert out == json.dumps({"capped": True, "error": message}) + "\n"
+    assert err == f"capped: {message}\n"
+
+    code, out, err = run_cli(capsys, "search", "--n", "6", "--k", "-1", "--exhaustive")
+    assert (code, out, err) == (2, "", "k must be nonnegative\n")
 
 
 def test_cli_verify_saturate_capped(tmp_path, capsys):
