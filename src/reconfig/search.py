@@ -10,20 +10,19 @@ unmarked mask by an array search.
 
 The class diameters then come from one batched array sweep, not from an
 engine call per class. Every n-vertex class shares one node list, the
-k-subsets of ``range(n)`` in key order, and one list of candidate moves
+k-subsets of ``range(n)`` in key order, and one table of one-token moves
 between subsets that differ in one vertex; the class's edge mask only
 switches them on. A subset is a node of the class when no pair inside it
 is an edge, and a move is an edge of its configuration graph when both
 ends are nodes (under "ts" also the moved pair must be an edge). For a
-chunk of at most ``_CHUNK`` classes the sweep stacks the adjacency
-matrices A and grows the reach matrices R, from the identity on the
-class's nodes, by R <- min(R + R A, 1) per round, all classes at once
-(multi-source BFS as in ``engine``'s rounds, after Then et al., VLDB
-2014). After round r, R holds every pair at distance <= r, so a class's
-largest component diameter is the last round in which its R grew; a class
-with no independent k-set has none.
+chunk of at most ``_CHUNK`` classes the sweep holds every node's reach
+set, bit-packed, and grows all of them by one BFS layer per round, all
+classes at once (multi-source BFS as in ``engine``'s rounds, after Then
+et al., VLDB 2014). After round r a reach set holds every node within
+distance r, so a class's largest component diameter is the last round in
+which one of its sets grew; a class with no independent k-set has none.
 
-The node cap is read off the converged R with the budget rule of
+The node cap is read off the converged reach sets with the budget rule of
 ``engine.enumerate_components``: components go in order of their smallest
 key, and one of s nodes is capped iff s > max(node_cap - p, 1), where p
 sums the sizes of the components before it. The first capped class is run
@@ -59,12 +58,12 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT = 7
 
-# Classes per chunk of the batched sweep, which holds C x N x N float32
-# adjacency and reach arrays, N = C(n, k). For n = 7, k = 3 in a fresh
-# process (Python 3.11, numpy 2.4), 256 classes kept the peak RSS at that
-# of the per-class engine loop the sweep replaced (41.9 against 41.8 MB),
-# where 1,024 raised it to 49.3 MB, near the benchmark's 10% bound on
-# peak memory.
+# Classes per chunk of the batched sweep. A process that ran the seven
+# exhaustive-search benchmark jobs 20 times (Python 3.11, numpy 2.4, 2
+# shared CPUs) peaked at 43.6-43.7 MB RSS with 256 classes (43.4-43.7
+# with 64) and at 44.0-44.1 MB with 1,024; the per-class engine loop the
+# sweep replaced peaked at 43.2-43.6 MB. 256 was also the fastest of the
+# three.
 _CHUNK = 256
 
 
@@ -148,69 +147,76 @@ def nonisomorphic_masks(n: int) -> list[int]:
         m += step
 
 
-def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables every n-vertex class shares for k tokens.
 
     ``inner[i]`` is the mask, in ``edge_pairs`` bit order, of the pairs
     inside the i-th k-subset of ``range(n)`` in key order (colex, as the
-    engine's keys sort). Row m of ``moves`` is (i, j, bit): subsets i < j
-    differ in one vertex, and ``bit`` is the pair the token moves along.
+    engine's keys sort). ``nbr[i, t]`` is the subset that the t-th
+    one-token move from subset i reaches, and ``pair[i, t]`` the bit of the
+    pair that token moves along.
     """
     subsets = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
     index = {s: i for i, s in enumerate(subsets)}
     bit = {pair: b for b, pair in enumerate(edge_pairs(n))}
-    inner = np.array(
-        [sum(1 << bit[p] for p in itertools.combinations(s, 2)) for s in subsets],
-        dtype=np.int64,
+    inner = [sum(1 << bit[p] for p in itertools.combinations(s, 2)) for s in subsets]
+    nbr, pair = [], []
+    for s in subsets:
+        moves = [(u, v) for u in s for v in range(n) if v not in s]
+        nbr.append([index[tuple(sorted(set(s) - {u} | {v}))] for u, v in moves])
+        pair.append([bit[min(u, v), max(u, v)] for u, v in moves])
+    shape = (len(subsets), k * (n - k) if subsets else 0)
+    return (
+        np.array(inner, dtype=np.int64),
+        np.array(nbr, dtype=np.intp).reshape(shape),
+        np.array(pair, dtype=np.int64).reshape(shape),
     )
-    moves = []
-    for i, s in enumerate(subsets):
-        for u in s:
-            rest = set(s) - {u}
-            for v in range(u + 1, n):
-                if v not in rest:
-                    j = index[tuple(sorted(rest | {v}))]
-                    moves.append((min(i, j), max(i, j), bit[u, v]))
-    return inner, np.array(moves, dtype=np.int64).reshape(-1, 3)
 
 
 def _sweep(
-    masks: np.ndarray, inner: np.ndarray, moves: np.ndarray, rule: str, node_cap: int
+    masks: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rule: str,
+    node_cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(diameter, capped) of every class in ``masks``, by the batched reach
-    rounds over the tables of ``_sweep_tables``: the largest component
-    diameter, -1 for a class with no independent k-set, and whether the
-    engine's node cap would cut the class's enumeration short."""
-    c, n = len(masks), len(inner)
+    """(diameter, capped) of every class in ``masks``, by batched reach
+    rounds over the ``_sweep_tables``: the largest component diameter, -1
+    for a class with no independent k-set, and whether the engine's node
+    cap would cut the class's enumeration short.
+
+    ``reach[c, i]`` is the set of nodes within the current radius of node
+    i in class c, packed 64 nodes to a uint64 word; a round ORs in the
+    sets of the node's neighbours in the class's configuration graph.
+    """
+    inner, nbr, pair = tables
+    n = len(inner)
     indep = masks[:, None] & inner == 0
-    i, j, bit = moves.T
-    active = indep[:, i] & indep[:, j]
+    active = indep[:, :, None] & indep[:, nbr]
     if rule == TS:
-        active &= masks[:, None] >> bit & 1 == 1
-    adj = np.zeros((c, n, n), dtype=np.float32)
-    adj[:, i, j] = adj[:, j, i] = active
-    reach = np.zeros((c, n, n), dtype=np.float32)
-    reach[:, np.arange(n), np.arange(n)] = indep
+        edge = masks[:, None] >> np.arange(pair.max(initial=0) + 1) & 1 == 1
+        active &= edge[:, pair]
+    node = np.arange(n)
+    unit = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    unit[node, node // 64] = np.uint64(1) << (node % 64).astype(np.uint64)
+    reach = np.where(indep[:, :, None], unit, np.uint64(0))
     diameter = np.where(indep.any(axis=1), 0, -1)
-    total = reach.sum(axis=(1, 2))
-    step = np.empty_like(reach)
     rounds = 0
     while True:
         rounds += 1
-        np.matmul(reach, adj, out=step)
-        reach += step
-        np.minimum(reach, 1, out=reach)
-        grown = reach.sum(axis=(1, 2))
-        changed = grown > total
+        grown = reach.copy()
+        for t in range(nbr.shape[1]):
+            grown |= reach[:, nbr[:, t]] * active[:, :, t, None]
+        changed = (grown != reach).any(axis=(1, 2))
         if not changed.any():
             break
         diameter[changed] = rounds
-        total = grown
-    # a node leads its component when nothing before it in key order is
-    # within reach; the budget left for a component is the cap less the
-    # sizes of the components led by earlier nodes
-    size = reach.sum(axis=2)
-    lead = indep & ~(reach * np.tri(n, k=-1, dtype=np.float32)).any(axis=2)
+        reach = grown
+    # reach[c, i] is now the component of node i, which leads it when no
+    # node before it in key order is in it; the budget left for a
+    # component is the cap less the sizes of those led by earlier nodes
+    size = np.bitwise_count(reach).sum(axis=2, dtype=np.int64)
+    below = np.bitwise_or.accumulate(unit, axis=0) ^ unit
+    lead = indep & ~(reach & below).any(axis=2)
     lead_size = np.where(lead, size, 0)
     before = np.cumsum(lead_size, axis=1) - lead_size
     capped = (lead & (size > np.maximum(node_cap - before, 1))).any(axis=1)
@@ -245,29 +251,30 @@ def exhaustive_search(
     reps = nonisomorphic_masks(n)
     engine._check_rule(rule)
     engine._check_k(k)
-    inner, moves = _sweep_tables(n, k)
+    tables = _sweep_tables(n, k)
     diameters = []
     for lo in range(0, len(reps), _CHUNK):
         chunk = reps[lo : lo + _CHUNK]
-        d, capped = _sweep(np.array(chunk, dtype=np.int64), inner, moves, rule, node_cap)
+        d, capped = _sweep(np.array(chunk, dtype=np.int64), tables, rule, node_cap)
         if capped.any():
             mask = chunk[int(capped.argmax())]
             _class_diameter(mask_to_graph(n, mask), k, rule, node_cap, "exhaustive_search")
             raise AssertionError(f"the engine did not cap class {mask}, which the sweep capped")
         diameters.append(d)
     diameter = np.concatenate(diameters)
-    best = int(diameter.max())
-    if best < 0:
-        return SearchResult(
-            n, k, rule, None, None, True, classes_examined=len(reps), best_masks=[]
-        )
-    best_masks = [reps[i] for i in np.flatnonzero(diameter == best).tolist()]
-    wg = mask_to_graph(n, best_masks[0])
-    # re-verify the witness before emitting it
-    if _class_diameter(wg, k, rule, node_cap, "exhaustive_search") != best:
-        raise AssertionError("witness failed re-verification")
+    best: Optional[int] = None
+    best_masks: list[int] = []
+    witness = None
+    if diameter.max() >= 0:
+        best = int(diameter.max())
+        best_masks = [reps[i] for i in np.flatnonzero(diameter == best).tolist()]
+        wg = mask_to_graph(n, best_masks[0])
+        # re-verify the witness before emitting it
+        if _class_diameter(wg, k, rule, node_cap, "exhaustive_search") != best:
+            raise AssertionError("witness failed re-verification")
+        witness = list(wg.edges())
     return SearchResult(
-        n, k, rule, best, list(wg.edges()), True,
+        n, k, rule, best, witness, True,
         classes_examined=len(reps), best_masks=best_masks,
     )
 

@@ -102,8 +102,8 @@ def test_exhaustive_n6_k3_regression():
 
 def _swept(n, k, rule, node_cap, masks):
     """(diameter or None, capped) of each mask, all swept as one chunk."""
-    inner, moves = S._sweep_tables(n, k)
-    diameters, capped = S._sweep(np.array(masks, dtype=np.int64), inner, moves, rule, node_cap)
+    tables = S._sweep_tables(n, k)
+    diameters, capped = S._sweep(np.array(masks, dtype=np.int64), tables, rule, node_cap)
     return [(None if d < 0 else d, c) for d, c in zip(diameters.tolist(), capped.tolist())]
 
 
@@ -124,6 +124,32 @@ def test_sweep_matches_engine(data):
         comps = E.enumerate_components(g, k, rule, node_cap)
         assert capped == any(c.capped for c in comps), mask
         assert diameter == E.max_component_diameter(g, k, rule).diameter, mask
+
+
+def test_sweep_matches_engine_on_every_5_vertex_class():
+    # small caps cut a class short or not depending on the order of its
+    # components, so the sweep must take them in smallest-key order
+    reps = S.nonisomorphic_masks(5)
+    for k in (2, 3):
+        for rule in (TJ, TS):
+            for node_cap in range(11):
+                got = _swept(5, k, rule, node_cap, reps)
+                for mask, (_, capped) in zip(reps, got):
+                    comps = E.enumerate_components(S.mask_to_graph(5, mask), k, rule, node_cap)
+                    assert capped == any(c.capped for c in comps), (k, rule, node_cap, mask)
+
+
+def test_sweep_matches_engine_past_one_word():
+    # C(8, 4) = 70 nodes take two 64-bit words per reach set
+    rng = np.random.default_rng(5)
+    masks = [0, (1 << 28) - 1, *rng.integers(0, 1 << 28, size=6).tolist()]
+    for rule in (TJ, TS):
+        for node_cap in (40, 70):
+            for mask, (diameter, capped) in zip(masks, _swept(8, 4, rule, node_cap, masks)):
+                g = S.mask_to_graph(8, mask)
+                comps = E.enumerate_components(g, 4, rule, node_cap)
+                assert capped == any(c.capped for c in comps), mask
+                assert diameter == E.max_component_diameter(g, 4, rule).diameter, mask
 
 
 def test_exhaustive_search_refuses_at_cap():
