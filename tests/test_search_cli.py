@@ -100,11 +100,17 @@ def test_exhaustive_n6_k3_regression():
     assert sorted(m for m, d in diameters.items() if d == best) == res.best_masks
 
 
-def _swept(n, k, rule, node_cap, masks):
-    """(diameter or None, capped) of each mask, all swept as one chunk."""
+def _check_sweep(n, k, rule, node_cap, masks):
+    """The sweep, run on ``masks`` as one chunk, gives each class the
+    engine's largest component diameter and the engine's cap verdict."""
     tables = S._sweep_tables(n, k)
     diameters, capped = S._sweep(np.array(masks, dtype=np.int64), tables, rule, node_cap)
-    return [(None if d < 0 else d, c) for d, c in zip(diameters.tolist(), capped.tolist())]
+    for mask, d, c in zip(masks, diameters.tolist(), capped.tolist()):
+        g = S.mask_to_graph(n, mask)
+        comps = E.enumerate_components(g, k, rule, node_cap)
+        assert c == any(comp.capped for comp in comps), (n, k, rule, node_cap, mask)
+        want = E.max_component_diameter(g, k, rule).diameter
+        assert (None if d < 0 else d) == want, (n, k, rule, mask)
 
 
 @given(st.data())
@@ -118,25 +124,16 @@ def test_sweep_matches_engine(data):
         st.lists(st.integers(0, (1 << n * (n - 1) // 2) - 1), min_size=1, max_size=6),
         label="masks",
     )
-    got = _swept(n, k, rule, node_cap, masks)
-    for mask, (diameter, capped) in zip(masks, got):
-        g = S.mask_to_graph(n, mask)
-        comps = E.enumerate_components(g, k, rule, node_cap)
-        assert capped == any(c.capped for c in comps), mask
-        assert diameter == E.max_component_diameter(g, k, rule).diameter, mask
+    _check_sweep(n, k, rule, node_cap, masks)
 
 
 def test_sweep_matches_engine_on_every_5_vertex_class():
     # small caps cut a class short or not depending on the order of its
     # components, so the sweep must take them in smallest-key order
-    reps = S.nonisomorphic_masks(5)
     for k in (2, 3):
         for rule in (TJ, TS):
             for node_cap in range(11):
-                got = _swept(5, k, rule, node_cap, reps)
-                for mask, (_, capped) in zip(reps, got):
-                    comps = E.enumerate_components(S.mask_to_graph(5, mask), k, rule, node_cap)
-                    assert capped == any(c.capped for c in comps), (k, rule, node_cap, mask)
+                _check_sweep(5, k, rule, node_cap, S.nonisomorphic_masks(5))
 
 
 def test_sweep_matches_engine_past_one_word():
@@ -145,11 +142,7 @@ def test_sweep_matches_engine_past_one_word():
     masks = [0, (1 << 28) - 1, *rng.integers(0, 1 << 28, size=6).tolist()]
     for rule in (TJ, TS):
         for node_cap in (40, 70):
-            for mask, (diameter, capped) in zip(masks, _swept(8, 4, rule, node_cap, masks)):
-                g = S.mask_to_graph(8, mask)
-                comps = E.enumerate_components(g, 4, rule, node_cap)
-                assert capped == any(c.capped for c in comps), mask
-                assert diameter == E.max_component_diameter(g, 4, rule).diameter, mask
+            _check_sweep(8, 4, rule, node_cap, masks)
 
 
 def test_exhaustive_search_refuses_at_cap():
