@@ -15,9 +15,9 @@ between subsets that differ in one vertex; the class's edge mask only
 switches them on. A subset is a node of the class when no pair inside it
 is an edge, and a move is an edge of its configuration graph when both
 ends are nodes (under "ts" also the moved pair must be an edge). For a
-chunk of at most ``_CHUNK`` classes the sweep holds every node's reach
-set, bit-packed, and grows all of them by one BFS layer per round, all
-classes at once (multi-source BFS as in ``engine``'s rounds, after Then
+chunk of at most ``_CHUNK`` = 256 classes the sweep holds every node's
+reach set, bit-packed, and grows all of them by one BFS layer per round,
+all classes at once (multi-source BFS as in ``engine``'s rounds, after Then
 et al., VLDB 2014). After round r a reach set holds every node within
 distance r, so a class's largest component diameter is the last round in
 which one of its sets grew; a class with no independent k-set has none.
@@ -241,7 +241,8 @@ def exhaustive_search(
     mask of its orbit; every class is examined exactly once.
 
     The class diameters come from the batched sweep of ``_sweep``, in
-    chunks of ``_CHUNK`` classes in representative order. ``best_masks``
+    chunks of ``_CHUNK`` = 256 classes in representative order; at n = 7
+    a chunk's arrays peak at 0.6 MB under ``tracemalloc``. ``best_masks``
     lists the representatives achieving the optimum, so uniqueness up to
     isomorphism is checkable, and the first of them is re-verified by the
     engine before its edges are emitted. Raises NodeCapExceeded, from the
