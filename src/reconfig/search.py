@@ -22,12 +22,13 @@ et al., VLDB 2014). After round r a reach set holds every node within
 distance r, so a class's largest component diameter is the last round in
 which one of its sets grew; a class with no independent k-set has none.
 
-The node cap is read off the converged reach sets with the budget rule of
-``engine.enumerate_components``: components go in order of their smallest
-key, and one of s nodes is capped iff s > max(node_cap - p, 1), where p
-sums the sizes of the components before it. The first capped class is run
-through the engine, whose NodeCapExceeded carries the explored count. The
-winner is re-verified by the engine as an independent cross-check.
+A class can only be cut short by the node cap when it has more independent
+k-sets than the cap (the engine's budget rule caps a component of s nodes
+only when s, plus the sizes of the components before it, exceeds the cap),
+so exactly those classes are run through the engine, whose NodeCapExceeded
+carries the explored count; at the default cap no class of n <= 7 (at most
+35 nodes) is. The winner is re-verified by the engine as an independent
+cross-check.
 
 Random mode samples Erdos-Renyi graphs at several densities plus
 perturbations of the complement-of-path construction, with recorded
@@ -174,15 +175,11 @@ def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sweep(
-    masks: np.ndarray,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rule: str,
-    node_cap: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(diameter, capped) of every class in ``masks``, by batched reach
-    rounds over the ``_sweep_tables``: the largest component diameter, -1
-    for a class with no independent k-set, and whether the engine's node
-    cap would cut the class's enumeration short.
+    masks: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray], rule: str
+) -> np.ndarray:
+    """Largest component diameter of every class in ``masks``, -1 for a
+    class with no independent k-set, by batched reach rounds over the
+    ``_sweep_tables``.
 
     ``reach[c, i]`` is the set of nodes within the current radius of node
     i in class c, packed 64 nodes to a uint64 word; a round ORs in the
@@ -208,19 +205,29 @@ def _sweep(
             grown |= reach[:, nbr[:, t]] * active[:, :, t, None]
         changed = (grown != reach).any(axis=(1, 2))
         if not changed.any():
-            break
+            return diameter
         diameter[changed] = rounds
         reach = grown
-    # reach[c, i] is now the component of node i, which leads it when no
-    # node before it in key order is in it; the budget left for a
-    # component is the cap less the sizes of those led by earlier nodes
-    size = np.bitwise_count(reach).sum(axis=2, dtype=np.int64)
-    below = np.bitwise_or.accumulate(unit, axis=0) ^ unit
-    lead = indep & ~(reach & below).any(axis=2)
-    lead_size = np.where(lead, size, 0)
-    before = np.cumsum(lead_size, axis=1) - lead_size
-    capped = (lead & (size > np.maximum(node_cap - before, 1))).any(axis=1)
-    return diameter, capped
+
+
+def _chunk_diameters(
+    masks: list[int],
+    n: int,
+    k: int,
+    rule: str,
+    node_cap: int,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """The ``_sweep`` diameters of ``masks``, except that a class with more
+    independent k-sets than ``node_cap`` takes the engine's, so that the
+    first class in ``masks`` the cap cuts short raises NodeCapExceeded."""
+    packed = np.array(masks, dtype=np.int64)
+    diameter = _sweep(packed, tables, rule)
+    count = (packed[:, None] & tables[0] == 0).sum(axis=1)
+    for i in np.flatnonzero(count > max(node_cap, 0)).tolist():
+        g = mask_to_graph(n, masks[i])
+        diameter[i] = _class_diameter(g, k, rule, node_cap, "exhaustive_search")
+    return diameter
 
 
 def _class_diameter(
@@ -245,24 +252,18 @@ def exhaustive_search(
     a chunk's arrays peak at 0.6 MB under ``tracemalloc``. ``best_masks``
     lists the representatives achieving the optimum, so uniqueness up to
     isomorphism is checkable, and the first of them is re-verified by the
-    engine before its edges are emitted. Raises NodeCapExceeded, from the
-    engine run on the first class the cap cuts short (by the budget rule of
-    ``engine.enumerate_components``), when the cap cuts any class short.
+    engine before its edges are emitted. A class with more independent
+    k-sets than ``node_cap`` runs through the engine instead, so the first
+    class the cap cuts short raises the engine's NodeCapExceeded.
     """
     reps = nonisomorphic_masks(n)
     engine._check_rule(rule)
     engine._check_k(k)
     tables = _sweep_tables(n, k)
-    diameters = []
-    for lo in range(0, len(reps), _CHUNK):
-        chunk = reps[lo : lo + _CHUNK]
-        d, capped = _sweep(np.array(chunk, dtype=np.int64), tables, rule, node_cap)
-        if capped.any():
-            mask = chunk[int(capped.argmax())]
-            _class_diameter(mask_to_graph(n, mask), k, rule, node_cap, "exhaustive_search")
-            raise AssertionError(f"the engine did not cap class {mask}, which the sweep capped")
-        diameters.append(d)
-    diameter = np.concatenate(diameters)
+    diameter = np.concatenate([
+        _chunk_diameters(reps[lo : lo + _CHUNK], n, k, rule, node_cap, tables)
+        for lo in range(0, len(reps), _CHUNK)
+    ])
     best: Optional[int] = None
     best_masks: list[int] = []
     witness = None

@@ -102,15 +102,28 @@ def test_exhaustive_n6_k3_regression():
 
 def _check_sweep(n, k, rule, node_cap, masks):
     """The sweep, run on ``masks`` as one chunk, gives each class the
-    engine's largest component diameter and the engine's cap verdict."""
+    engine's largest component diameter; under ``node_cap`` the chunk
+    gives the same, or the engine's refusal of its first capped class."""
     tables = S._sweep_tables(n, k)
-    diameters, capped = S._sweep(np.array(masks, dtype=np.int64), tables, rule, node_cap)
-    for mask, d, c in zip(masks, diameters.tolist(), capped.tolist()):
+    swept = S._sweep(np.array(masks, dtype=np.int64), tables, rule).tolist()
+    want, refusal = [], None
+    for mask in masks:
         g = S.mask_to_graph(n, mask)
-        comps = E.enumerate_components(g, k, rule, node_cap)
-        assert c == any(comp.capped for comp in comps), (n, k, rule, node_cap, mask)
-        want = E.max_component_diameter(g, k, rule).diameter
-        assert (None if d < 0 else d) == want, (n, k, rule, mask)
+        d = E.max_component_diameter(g, k, rule).diameter
+        want.append(-1 if d is None else d)
+        rep = E.max_component_diameter(g, k, rule, node_cap)
+        if rep.capped and refusal is None:
+            refusal = (
+                f"exhaustive_search: node cap {node_cap} reached after "
+                f"{rep.explored} configuration nodes"
+            )
+    assert swept == want, (n, k, rule, masks)
+    if refusal is None:
+        assert S._chunk_diameters(masks, n, k, rule, node_cap, tables).tolist() == want
+    else:
+        with pytest.raises(NodeCapExceeded) as exc:
+            S._chunk_diameters(masks, n, k, rule, node_cap, tables)
+        assert str(exc.value) == refusal, (n, k, rule, node_cap, masks)
 
 
 @given(st.data())
@@ -128,8 +141,6 @@ def test_sweep_matches_engine(data):
 
 
 def test_sweep_matches_engine_on_every_5_vertex_class():
-    # small caps cut a class short or not depending on the order of its
-    # components, so the sweep must take them in smallest-key order
     for k in (2, 3):
         for rule in (TJ, TS):
             for node_cap in range(11):
@@ -168,20 +179,6 @@ def test_exhaustive_search_refusals_come_first(monkeypatch):
     with pytest.raises(GraphError) as exc:
         S.exhaustive_search(-1, 1)
     assert str(exc.value) == "vertex count must be nonnegative"
-
-
-def test_exhaustive_search_never_hides_a_disagreement(monkeypatch):
-    # a class the sweep calls capped must raise the engine's refusal; when
-    # the engine finds no cap there, the search fails loudly
-    sweep = S._sweep
-
-    def capped_everywhere(*args):
-        diameters, capped = sweep(*args)
-        return diameters, np.ones_like(capped)
-
-    monkeypatch.setattr(S, "_sweep", capped_everywhere)
-    with pytest.raises(AssertionError, match="the engine did not cap class 0"):
-        S.exhaustive_search(5, 2)
 
 
 def test_random_search_refuses_at_cap():
