@@ -8,7 +8,6 @@ oracles.
 
 from .apsets import (
     APSet,
-    affine_transform,
     behrend_set,
     greedy_3ap_free,
     is_3ap_free,

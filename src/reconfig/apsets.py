@@ -19,7 +19,6 @@ __all__ = [
     "greedy_3ap_free",
     "behrend_set",
     "behrend_info",
-    "affine_transform",
     "odd_3ap_free",
     "MAX_EXACT_N",
 ]
@@ -140,16 +139,6 @@ def behrend_info(n: int) -> tuple[APSet, dict]:
 
 def behrend_set(n: int) -> APSet:
     return behrend_info(n)[0]
-
-
-def affine_transform(s: APSet, a: int, b: int) -> APSet:
-    """The set {a*x + b : x in s}; preserves 3-AP-freeness when a >= 1."""
-    if a < 1:
-        raise APSetError(f"scale factor must be positive, got {a}")
-    return APSet(
-        tuple(a * x + b for x in s.elements),
-        a * s.universe_bound + b,
-    )
 
 
 def odd_3ap_free(n: int, residue_mod: int) -> APSet:

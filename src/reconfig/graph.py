@@ -21,7 +21,6 @@ __all__ = [
     "GraphError",
     "complement",
     "is_independent",
-    "is_clique",
     "independence_number",
     "canonical_form",
     "pair_images",
@@ -178,15 +177,6 @@ def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
         g._check_vertex(v)
         mask |= 1 << v
     return all(not (g.adj[v] & mask) for v in vs)
-
-
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    vs = set(vertices)
-    mask = 0
-    for v in vs:
-        g._check_vertex(v)
-        mask |= 1 << v
-    return all((g.adj[v] & mask) == mask ^ (1 << v) for v in vs)
 
 
 def independence_number(g: Graph, limit: int = 64) -> int:

@@ -233,56 +233,44 @@ def _reach(start: int, goal: int, row: Callable[[int], int]) -> bool:
     return bool(visited >> goal & 1)
 
 
-def _complement_row(g: Graph) -> Callable[[int], int]:
-    """Neighbour bitmasks of the complement of g, made on the fly."""
-    full = (1 << g.n) - 1
-    return lambda u: full & ~(g.adj[u] | 1 << u)
-
-
 def decide_k2_naive(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     """Oracle decision: the two tokens of a can be walked to b iff a and b
     meet the same connected component of the complement graph."""
     a = _check_pair(g, a, "endpoint a")
     b = _check_pair(g, b, "endpoint b")
-    return _reach(a[0], b[0], _complement_row(g))
+    full = (1 << g.n) - 1
+    return _reach(a[0], b[0], lambda u: full & ~(g.adj[u] | 1 << u))
 
 
 def decide_k2_fast(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     """Reachability for two tokens in time linear in the adjacency data.
 
-    Vertices of degree below (n-1)/2 pairwise share a non-neighbor, so they
-    all lie in one complement component; the lowest of them, x, stands for
-    them all. A high-degree vertex's row is its complement row with the
-    low-degree bits folded into x; x's row, built only when the search
-    reaches x, holds the high-degree vertices that miss some low-degree
-    vertex. At most O(m/n) vertices have high degree, so one BFS over these
-    rows, made on the fly, answers the query.
+    The tokens of a can be walked to b iff a and b meet the same component
+    of the complement graph. One search of the complement keeps the set of
+    unvisited vertices and never builds a complement row: popping u splits
+    the unvisited set into u's neighbours in g, which stay unvisited, and
+    its complement neighbours, which join the pending set. Each vertex is
+    popped at most once, at the cost of O(n/w) word operations, so the search is
+    linear in the n^2/w words of the rows (H. Ito and M. Yokoyama, IPL 66,
+    1998).
     """
     a = _check_pair(g, a, "endpoint a")
     b = _check_pair(g, b, "endpoint b")
-    n = g.n
-    small, big = 0, []
-    for v in range(n):
-        # deg >= (n-1)/2 stays; ties included
-        if 2 * g.adj[v].bit_count() < n - 1:
-            small |= 1 << v
-        else:
-            big.append(v)
-    stand_in = small & -small
-    x = stand_in.bit_length() - 1  # -1 when nothing is contracted
-    complement_row = _complement_row(g)
-    x_row = None
-
-    def row(u: int) -> int:
-        nonlocal x_row
-        if u == x:
-            if x_row is None:
-                x_row = sum(1 << v for v in big if small & ~g.adj[v])
-            return x_row
-        r = complement_row(u)
-        return r & ~small | stand_in if r & small else r
-
-    return _reach(x if small >> a[0] & 1 else a[0], x if small >> b[0] & 1 else b[0], row)
+    if a[0] == b[0]:
+        return True
+    adj = g.adj
+    goal = 1 << b[0]
+    pending = 1 << a[0]
+    unvisited = ((1 << g.n) - 1) ^ pending
+    while pending:
+        u = pending.bit_length() - 1  # the highest bit: O(1) to find
+        hit = unvisited & adj[u]
+        fresh = unvisited ^ hit  # u's complement neighbours, unvisited so far
+        if fresh & goal:
+            return True
+        pending ^= 1 << u | fresh
+        unvisited = hit
+    return False
 
 
 # ---------------------------------------------------------------------------

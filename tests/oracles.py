@@ -110,6 +110,11 @@ def brute_independence_number(g: Graph) -> int:
     return best
 
 
+def brute_is_clique(g: Graph, vertices) -> bool:
+    """Whether every two of the given vertices are adjacent, pair by pair."""
+    return all(g.has_edge(u, v) for u, v in itertools.combinations(set(vertices), 2))
+
+
 def brute_max_3ap_free(n: int):
     """Largest 3-AP-free subset of [1, n] by exhaustive extension; returns
     (size, lexicographically smallest witness)."""

@@ -1,12 +1,9 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import brute_max_3ap_free
 from reconfig.apsets import (
     APSet,
     APSetError,
-    affine_transform,
     behrend_info,
     behrend_set,
     greedy_3ap_free,
@@ -86,27 +83,6 @@ def test_behrend_info_params():
     s, info = behrend_info(1000)
     assert info["method"] in ("behrend", "greedy")
     assert len(s) == 105  # frozen: greedy floor wins at this scale
-
-
-def test_affine_transform():
-    assert affine_transform(APSet((1, 2), 2), 4, 1).elements == (5, 9)
-    s = affine_transform(APSet((1, 2, 4, 8, 9), 9), 4, 1)
-    assert is_3ap_free(s.elements)
-    assert affine_transform(APSet((1,), 1), 8, 1).elements == (9,)
-    with pytest.raises(APSetError):
-        affine_transform(APSet((1, 2), 2), 0, 1)
-
-
-@given(st.sets(st.integers(1, 60), max_size=8), st.integers(1, 5), st.integers(0, 7))
-@settings(max_examples=80, deadline=None)
-def test_affine_preserves_3ap_freeness(raw, a, b):
-    base = []
-    for x in sorted(raw):
-        if is_3ap_free(base + [x]):
-            base.append(x)
-    s = APSet(tuple(base), 60)
-    out = affine_transform(s, a, b)
-    assert is_3ap_free(out.elements)
 
 
 def test_odd_3ap_free():

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_is_63_free, random_graph
+from oracles import brute_is_63_free, explicit_distance, random_graph
 from reconfig import engine as E
+from reconfig import graph as graph_module
 from reconfig import verify as V
 from reconfig.constructions import complement_path
 from reconfig.engine import TJ, NodeCapExceeded
@@ -227,7 +228,63 @@ def _decide(g, a, b):
     return fast
 
 
+@st.composite
+def k2_instances(draw):
+    """(g, a, b) with a and b independent pairs of g: a random graph, the
+    empty graph, the two-vertex graph, a complete graph missing a few edges
+    (the endpoints then come from the missing ones), or the join of two
+    random parts, whose complement falls apart between them."""
+    shape = draw(st.sampled_from(["random", "empty", "two", "near_complete", "join"]))
+    if shape == "two":
+        return Graph.empty(2), (0, 1), (0, 1)
+    n = draw(st.integers(3, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    if shape == "empty":
+        edges = []
+    elif shape == "random":
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    elif shape == "near_complete":
+        missing = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+        edges = [e for e in pairs if e not in missing]
+    else:
+        cut = draw(st.integers(1, n - 1))
+        inside = [(u, v) for u, v in pairs if (u < cut) == (v < cut)]
+        edges = [(u, v) for u, v in pairs if (u < cut) != (v < cut)]
+        edges += draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+    # relabel, so that either part and either end of the vertex order can
+    # hold the start
+    perm = draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    free = [(u, v) for u, v in pairs if not g.adj[u] >> v & 1]
+    assume(free)
+    return g, draw(st.sampled_from(free)), draw(st.sampled_from(free))
+
+
+@given(k2_instances())
+@settings(max_examples=300, deadline=None)
+def test_decide_k2_fast_matches_naive_and_explicit(instance):
+    g, a, b = instance
+    fast = V.decide_k2_fast(g, a, b)
+    assert fast == V.decide_k2_naive(g, a, b) == (explicit_distance(g, 2, a, b) is not None)
+
+
+def test_decide_k2_above_validate_limit():
+    n = 5000
+    assert n > graph_module._VALIDATE_LIMIT
+    g, _ = complement_path(n)
+    cut = g.with_edge(n // 2 - 1, n // 2)  # the complement path splits in two
+    lo, hi, upper = (0, 1), (n - 2, n - 1), (n // 2, n // 2 + 1)
+    for a, b in ((lo, hi), (hi, lo), (hi, upper)):
+        for h in (g, cut):
+            fast = V.decide_k2_fast(h, a, b)
+            assert fast == V.decide_k2_naive(h, a, b)
+            assert fast == (h is g or b == upper)
+
+
 def _contracted(g):
+    """The vertices of degree below (n-1)/2, which pairwise share a
+    non-neighbour and so lie in one complement component. The inputs below
+    have none, all, or some of them, and a degree tie at the threshold."""
     return {v for v in range(g.n) if 2 * g.degree(v) < g.n - 1}
 
 
@@ -250,17 +307,17 @@ def test_decide_k2_everything_contracted():
 
 def test_decide_k2_mixed_contraction():
     # g joins H1 on 0..30 to H2 on 31..40, so their complements are apart.
-    # In H1, 0..14 form a clique (degree 24, kept) and 15..30 are isolated
-    # (degree 10, contracted); H2 is the complement of P_10 (kept).
+    # In H1, 0..14 form a clique (degree 24) and 15..30 are isolated
+    # (degree 10, below (n-1)/2); H2 is the complement of P_10.
     n = 41
     edges = [(u, v) for u in range(31) for v in range(31, n)]
     edges += [(u, v) for u in range(15) for v in range(u + 1, 15)]
     edges += [(u, v) for u in range(31, n) for v in range(u + 2, n)]
     g = Graph.from_edges(n, edges)
     assert _contracted(g) == set(range(15, 31))
-    # kept to kept only through the stand-in of the contracted vertices
+    # high degree to high degree only through the low-degree vertices
     assert _decide(g, (0, 15), (1, 16))
-    # one endpoint inside the contracted set
+    # one endpoint among the low-degree vertices
     assert _decide(g, (15, 16), (0, 17))
     assert _decide(g, (0, 17), (15, 16))
     assert not _decide(g, (15, 16), (31, 32))
@@ -269,7 +326,7 @@ def test_decide_k2_mixed_contraction():
 
 
 def test_decide_k2_degree_tie():
-    # K_{20,21}: the 21 side has degree exactly (n-1)/2 and stays uncontracted
+    # K_{20,21}: the 21 side has degree exactly (n-1)/2, not below it
     g = Graph.from_edges(41, [(u, v) for u in range(20) for v in range(20, 41)])
     assert not _contracted(g)
     assert not _decide(g, (0, 1), (20, 21))
