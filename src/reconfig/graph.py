@@ -23,6 +23,7 @@ __all__ = [
     "is_independent",
     "independence_number",
     "canonical_form",
+    "orbit_minima",
     "pair_images",
     "edge_pairs",
     "mask_to_graph",
@@ -279,6 +280,25 @@ def pair_images(n: int) -> np.ndarray:
     return pos[perms[:, us] * n + perms[:, vs]]
 
 
+def orbit_minima(images: np.ndarray, masks) -> np.ndarray:
+    """Minimum of each edge mask's orbit under the permutations whose pair
+    images are the rows of ``images`` (see ``pair_images``), as int64.
+
+    A mask's image under a permutation is the sum of ``2**image`` over its
+    set pairs; for a block of masks all images come from one float64
+    matrix product, which is exact because every partial sum is an integer
+    below 2**53 (n <= 10). Only the pair columns some mask sets take part.
+    """
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    bits = masks[:, None] >> np.arange(images.shape[1]) & 1
+    used = np.flatnonzero(bits.any(axis=0))
+    weights = (np.int64(1) << images[:, used]).T.astype(np.float64)
+    bits = bits[:, used].astype(np.float64)
+    # 16 masks a block keep the product at 5 MB for the 8! permutations
+    blocks = [(bits[lo : lo + 16] @ weights).min(axis=1) for lo in range(0, len(bits), 16)]
+    return np.concatenate([np.zeros(0), *blocks]).astype(np.int64)
+
+
 def canonical_form(g: Graph) -> int:
     """Minimum edge bitmask (see ``edge_pairs``) over all vertex permutations.
 
@@ -287,11 +307,7 @@ def canonical_form(g: Graph) -> int:
     """
     if g.n > 8:
         raise GraphError(f"canonical_form refused: n={g.n} exceeds limit 8")
-    bits = list(_iter_bits(graph_to_mask(g)))
-    if not bits:
-        return 0
-    images = pair_images(g.n)[:, bits].astype(np.int64)
-    return int((np.int64(1) << images).sum(axis=1).min())
+    return int(orbit_minima(pair_images(g.n), graph_to_mask(g))[0])
 
 
 # -- serialization ---------------------------------------------------------

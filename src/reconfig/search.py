@@ -1,34 +1,43 @@
 """Search over n-vertex graphs for the largest configuration-graph diameter.
 
-Exhaustive mode enumerates one representative per isomorphism class (n <= 7)
-by orbit-marking edge bitmasks under the full permutation action; no
-external canonicalizer is involved, and the representative is the minimum
-mask of its orbit. The action is held in per-byte permutation tables, each
-filled by doubling from the ``1 << image`` weights of the byte's pairs under
-every permutation, and the scan jumps from one representative to the next
-unmarked mask by an array search.
+Exhaustive mode (n <= 8) sweeps every graph class by one-vertex extension.
+The class census of size n - 1 enumerates one representative per
+isomorphism class by orbit-marking edge bitmasks under the full
+permutation action; no external canonicalizer is involved, and the
+representative is the minimum mask of its orbit. The action is held in
+per-byte permutation tables, each filled by doubling from the
+``1 << image`` weights of the byte's pairs under every permutation, and
+the scan jumps from one representative to the next unmarked mask by an
+array search. The census marks a map of all 2**C(n, 2) masks, so it
+stops at n - 1 = 7. Each representative then gains a vertex n - 1 of
+maximum degree in every possible way; every graph has a vertex of
+maximum degree, so the candidates cover every n-vertex class, some
+classes more than once (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998). Only the candidates that reach the maximum, or
+that the node cap may cut short, are reduced to their orbit minima, and
+Burnside's lemma over the cycle types of S_n counts the classes.
 
-The class diameters then come from one batched array sweep, not from an
-engine call per class. Every n-vertex class shares one node list, the
+The candidate diameters come from one batched array sweep, not from an
+engine call per graph. Every n-vertex graph shares one node list, the
 k-subsets of ``range(n)`` in key order, and one table of one-token moves
-between subsets that differ in one vertex; the class's edge mask only
-switches them on. A subset is a node of the class when no pair inside it
+between subsets that differ in one vertex; the graph's edge mask only
+switches them on. A subset is a node of the graph when no pair inside it
 is an edge, and a move is an edge of its configuration graph when both
 ends are nodes (under "ts" also the moved pair must be an edge). For a
-chunk of at most ``_CHUNK`` = 256 classes the sweep holds every node's
+chunk of at most ``_CHUNK`` = 256 graphs the sweep holds every node's
 reach set, bit-packed, and grows all of them by one BFS layer per round,
-all classes at once (multi-source BFS as in ``engine``'s rounds, after Then
+all graphs at once (multi-source BFS as in ``engine``'s rounds, after Then
 et al., VLDB 2014). After round r a reach set holds every node within
-distance r, so a class's largest component diameter is the last round in
-which one of its sets grew; a class with no independent k-set has none.
+distance r, so a graph's largest component diameter is the last round in
+which one of its sets grew; a graph with no independent k-set has none.
 
 A class can only be cut short by the node cap when it has more independent
 k-sets than the cap (the engine's budget rule caps a component of s nodes
 only when s, plus the sizes of the components before it, exceeds the cap),
-so exactly those classes are run through the engine, whose NodeCapExceeded
-carries the explored count; at the default cap no class of n <= 7 (at most
-35 nodes) is. The winner is re-verified by the engine as an independent
-cross-check.
+so exactly those classes are run through the engine, on their orbit
+minima in ascending order, and its NodeCapExceeded carries the explored
+count; at the default cap no class of n <= 8 (at most 70 nodes) is. The
+winner is re-verified by the engine as an independent cross-check.
 
 Random mode samples Erdos-Renyi graphs at several densities plus
 perturbations of the complement-of-path construction, with recorded
@@ -38,7 +47,9 @@ seeds, and computes each diameter with the engine.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +58,15 @@ import numpy as np
 from . import engine
 from .constructions import complement_path
 from .engine import DEFAULT_NODE_CAP, TJ, TS
-from .graph import Graph, GraphError, edge_pairs, graph_to_mask, mask_to_graph, pair_images
+from .graph import (
+    Graph,
+    GraphError,
+    edge_pairs,
+    graph_to_mask,
+    mask_to_graph,
+    orbit_minima,
+    pair_images,
+)
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -57,9 +76,14 @@ __all__ = [
     "random_search",
 ]
 
-EXHAUSTIVE_LIMIT = 7
+EXHAUSTIVE_LIMIT = 8
+# The class census marks a map of all 2**C(n, 2) masks: 2 MB at n = 7, but
+# 256 MB at n = 8 (13 s and 429 MB peak RSS there), so the search extends
+# the census of size n - 1 instead.
+_CENSUS_LIMIT = 7
 
-# Classes per chunk of the batched sweep. A process that ran the seven
+# Graphs per chunk of the batched sweep. When the sweep ran over the census
+# classes of size n, a process that ran the seven
 # exhaustive-search benchmark jobs 20 times (Python 3.11, numpy 2.4, 2
 # shared CPUs) peaked at 43.6-43.7 MB RSS with 256 classes (43.4-43.7
 # with 64) and at 44.0-44.1 MB with 1,024; the per-class engine loop the
@@ -98,6 +122,12 @@ class SearchResult:
         }
 
 
+def _limit_error(limit: int, n: int) -> GraphError:
+    return GraphError(
+        f"exhaustive search supports n <= {limit}, got {n}; use --random T instead"
+    )
+
+
 def _perm_byte_tables(n: int) -> list[np.ndarray]:
     """Per-byte lookup tables of the permutation action on edge masks.
 
@@ -122,11 +152,8 @@ def _perm_byte_tables(n: int) -> list[np.ndarray]:
 def nonisomorphic_masks(n: int) -> list[int]:
     """One edge bitmask per isomorphism class of n-vertex graphs, each the
     minimum of its orbit, ascending."""
-    if n > EXHAUSTIVE_LIMIT:
-        raise GraphError(
-            f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}, got {n}; "
-            "use --random T instead"
-        )
+    if n > _CENSUS_LIMIT:
+        raise _limit_error(_CENSUS_LIMIT, n)
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     if n <= 1:
@@ -210,31 +237,62 @@ def _sweep(
         reach = grown
 
 
-def _chunk_diameters(
-    masks: list[int],
-    n: int,
-    k: int,
-    rule: str,
-    node_cap: int,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """The ``_sweep`` diameters of ``masks``, except that a class with more
-    independent k-sets than ``node_cap`` takes the engine's, so that the
-    first class in ``masks`` the cap cuts short raises NodeCapExceeded."""
-    packed = np.array(masks, dtype=np.int64)
-    diameter = _sweep(packed, tables, rule)
-    count = (packed[:, None] & tables[0] == 0).sum(axis=1)
-    for i in np.flatnonzero(count > max(node_cap, 0)).tolist():
-        g = mask_to_graph(n, masks[i])
-        diameter[i] = _class_diameter(g, k, rule, node_cap, "exhaustive_search")
-    return diameter
-
-
 def _class_diameter(
     g: Graph, k: int, rule: str, node_cap: int, caller: str
 ) -> Optional[int]:
     rep = engine.max_component_diameter(g, k, rule, node_cap)
     return rep.exact(caller, node_cap).diameter
+
+
+def _class_count(n: int) -> int:
+    """Number of isomorphism classes of n-vertex graphs, by Burnside's lemma.
+
+    A permutation of cycle type lambda has c = sum(l // 2) + sum over pairs
+    of cycles of gcd(l_i, l_j) cycles on the vertex pairs and so fixes 2**c
+    edge masks; n! / z_lambda permutations have that type.
+    """
+
+    def partitions(rest: int, largest: int):
+        if rest == 0:
+            yield ()
+        for first in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - first, first):
+                yield (first, *tail)
+
+    fixed = 0
+    for lam in partitions(n, n):
+        cycles = sum(l // 2 for l in lam)
+        cycles += sum(math.gcd(a, b) for a, b in itertools.combinations(lam, 2))
+        z = math.prod(l**m * math.factorial(m) for l, m in Counter(lam).items())
+        fixed += math.factorial(n) // z << cycles
+    return fixed // math.factorial(n)
+
+
+def _candidates(n: int) -> np.ndarray:
+    """Edge masks that cover every n-vertex class, some more than once.
+
+    Each (n - 1)-vertex class R, its bits moved to their n-vertex
+    ``edge_pairs`` positions, gains a vertex n - 1 for every neighbourhood
+    S that gives it maximum degree: |S| >= deg_R(u) + [u in S] for every u.
+    Every graph has a vertex of maximum degree, so every class appears.
+    """
+    if n <= 1:
+        return np.zeros(1, dtype=np.int64)
+    reps = np.array(nonisomorphic_masks(n - 1), dtype=np.int64)
+    bit = {pair: b for b, pair in enumerate(edge_pairs(n))}
+    old = edge_pairs(n - 1)
+    has = reps[:, None] >> np.arange(len(old)) & 1
+    base = (has << np.array([bit[p] for p in old], dtype=np.int64)).sum(axis=1)
+    incidence = np.zeros((len(old), n - 1), dtype=np.int64)
+    for b, (u, v) in enumerate(old):
+        incidence[b, u] = incidence[b, v] = 1
+    degree = has @ incidence
+    member = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1
+    size = member.sum(axis=1)
+    fits = (size[None, :, None] >= degree[:, None, :] + member).all(axis=2)
+    new = member @ np.array([1 << bit[u, n - 1] for u in range(n - 1)], dtype=np.int64)
+    cls, nbhd = np.nonzero(fits)
+    return base[cls] | new[nbhd]
 
 
 def exhaustive_search(
@@ -243,33 +301,49 @@ def exhaustive_search(
     rule: str = TJ,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SearchResult:
-    """Best configuration-graph diameter over all n-vertex graphs (n <= 7),
-    one class per isomorphism class, each represented by the minimum edge
-    mask of its orbit; every class is examined exactly once.
+    """Best configuration-graph diameter over all n-vertex graphs (n <= 8).
 
-    The class diameters come from the batched sweep of ``_sweep``, in
-    chunks of ``_CHUNK`` = 256 classes in representative order; at n = 7
-    a chunk's arrays peak at 0.6 MB under ``tracemalloc``. ``best_masks``
-    lists the representatives achieving the optimum, so uniqueness up to
+    The graphs swept are the ``_candidates``, an (n - 1)-vertex class
+    census extended by one vertex of maximum degree, in chunks of
+    ``_CHUNK``; a class may be swept more than once, which changes no
+    maximum, and ``classes_examined`` is the exact class count of
+    ``_class_count``. ``best_masks`` lists the orbit minima of the
+    candidates achieving the optimum, ascending, so uniqueness up to
     isomorphism is checkable, and the first of them is re-verified by the
     engine before its edges are emitted. A class with more independent
-    k-sets than ``node_cap`` runs through the engine instead, so the first
-    class the cap cuts short raises the engine's NodeCapExceeded.
+    k-sets than ``node_cap`` runs through the engine instead, in ascending
+    orbit-minimum order, so the first such class the cap cuts short raises
+    the engine's NodeCapExceeded.
     """
-    reps = nonisomorphic_masks(n)
+    if n > EXHAUSTIVE_LIMIT:
+        raise _limit_error(EXHAUSTIVE_LIMIT, n)
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
     engine._check_rule(rule)
     engine._check_k(k)
+    masks = _candidates(n)
     tables = _sweep_tables(n, k)
-    diameter = np.concatenate([
-        _chunk_diameters(reps[lo : lo + _CHUNK], n, k, rule, node_cap, tables)
-        for lo in range(0, len(reps), _CHUNK)
-    ])
+    swept, nodes = [], []
+    for lo in range(0, len(masks), _CHUNK):
+        chunk = masks[lo : lo + _CHUNK]
+        swept.append(_sweep(chunk, tables, rule))
+        nodes.append((chunk[:, None] & tables[0] == 0).sum(axis=1))
+    diameter = np.concatenate(swept)
+    images = pair_images(n)
+    over = np.flatnonzero(np.concatenate(nodes) > max(node_cap, 0))
+    if len(over):
+        reps, which = np.unique(orbit_minima(images, masks[over]), return_inverse=True)
+        found = [
+            _class_diameter(mask_to_graph(n, rep), k, rule, node_cap, "exhaustive_search")
+            for rep in reps.tolist()
+        ]
+        diameter[over] = np.array(found)[which]
     best: Optional[int] = None
     best_masks: list[int] = []
     witness = None
     if diameter.max() >= 0:
         best = int(diameter.max())
-        best_masks = [reps[i] for i in np.flatnonzero(diameter == best).tolist()]
+        best_masks = np.unique(orbit_minima(images, masks[diameter == best])).tolist()
         wg = mask_to_graph(n, best_masks[0])
         # re-verify the witness before emitting it
         if _class_diameter(wg, k, rule, node_cap, "exhaustive_search") != best:
@@ -277,7 +351,7 @@ def exhaustive_search(
         witness = list(wg.edges())
     return SearchResult(
         n, k, rule, best, witness, True,
-        classes_examined=len(reps), best_masks=best_masks,
+        classes_examined=_class_count(n), best_masks=best_masks,
     )
 
 

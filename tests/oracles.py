@@ -11,8 +11,9 @@ from collections import deque
 
 import numpy as np
 
-from reconfig.engine import TJ, TS
-from reconfig.graph import Graph, GraphError
+from reconfig.engine import DEFAULT_NODE_CAP, TJ, TS, max_component_diameter
+from reconfig.graph import Graph, GraphError, mask_to_graph
+from reconfig.search import nonisomorphic_masks
 
 
 def independent_ksets(g: Graph, k: int):
@@ -251,6 +252,31 @@ def brute_canonical_form(g: Graph) -> int:
         sum(1 << pos[tuple(sorted((perm[u], perm[v])))] for u, v in edges)
         for perm in itertools.permutations(range(g.n))
     )
+
+
+def census_exhaustive_search(n: int, k: int, rule: str = TJ,
+                             node_cap: int = DEFAULT_NODE_CAP) -> dict:
+    """The JSON of an exhaustive search by the class census: the engine on
+    every class of ``nonisomorphic_masks(n)`` in ascending order, so that
+    the first class the node cap cuts short raises NodeCapExceeded."""
+    reps = nonisomorphic_masks(n)
+    found = {}
+    for rep in reps:
+        report = max_component_diameter(mask_to_graph(n, rep), k, rule, node_cap)
+        d = report.exact("exhaustive_search", node_cap).diameter
+        if d is not None:
+            found[rep] = d
+    best = max(found.values(), default=None)
+    best_masks = [m for m, d in found.items() if d == best]
+    witness = None
+    if best_masks:
+        witness = [list(e) for e in mask_to_graph(n, best_masks[0]).edges()]
+    return {
+        "n": n, "k": k, "rule": rule, "best_diameter": best,
+        "witness_edges": witness, "exhaustive": True,
+        "classes_examined": len(reps), "best_masks": best_masks,
+        "trials": None, "seed": None,
+    }
 
 
 def brute_parse_edge_list(text: str) -> Graph:

@@ -11,14 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_component_diameters, brute_perm_byte_tables
+from oracles import (
+    brute_component_diameters,
+    brute_perm_byte_tables,
+    census_exhaustive_search,
+)
 import reconfig
 from reconfig import cli
 from reconfig import engine as E
 from reconfig import search as S
 from reconfig.constructions import complement_path
 from reconfig.engine import TJ, TS, NodeCapExceeded
-from reconfig.graph import Graph, GraphError, canonical_form, write_graph
+from reconfig.graph import Graph, GraphError, canonical_form, orbit_minima, pair_images, write_graph
 
 
 def test_nonisomorphic_class_counts():
@@ -100,30 +104,16 @@ def test_exhaustive_n6_k3_regression():
     assert sorted(m for m, d in diameters.items() if d == best) == res.best_masks
 
 
-def _check_sweep(n, k, rule, node_cap, masks):
+def _check_sweep(n, k, rule, masks):
     """The sweep, run on ``masks`` as one chunk, gives each class the
-    engine's largest component diameter; under ``node_cap`` the chunk
-    gives the same, or the engine's refusal of its first capped class."""
+    engine's largest component diameter."""
     tables = S._sweep_tables(n, k)
     swept = S._sweep(np.array(masks, dtype=np.int64), tables, rule).tolist()
-    want, refusal = [], None
+    want = []
     for mask in masks:
-        g = S.mask_to_graph(n, mask)
-        d = E.max_component_diameter(g, k, rule).diameter
+        d = E.max_component_diameter(S.mask_to_graph(n, mask), k, rule).diameter
         want.append(-1 if d is None else d)
-        rep = E.max_component_diameter(g, k, rule, node_cap)
-        if rep.capped and refusal is None:
-            refusal = (
-                f"exhaustive_search: node cap {node_cap} reached after "
-                f"{rep.explored} configuration nodes"
-            )
     assert swept == want, (n, k, rule, masks)
-    if refusal is None:
-        assert S._chunk_diameters(masks, n, k, rule, node_cap, tables).tolist() == want
-    else:
-        with pytest.raises(NodeCapExceeded) as exc:
-            S._chunk_diameters(masks, n, k, rule, node_cap, tables)
-        assert str(exc.value) == refusal, (n, k, rule, node_cap, masks)
 
 
 @given(st.data())
@@ -132,19 +122,17 @@ def test_sweep_matches_engine(data):
     n = data.draw(st.integers(0, 8), label="n")
     k = data.draw(st.sampled_from((0, 1, 2, 3, 4, n + 1, n + 3)), label="k")
     rule = data.draw(st.sampled_from((TJ, TS)), label="rule")
-    node_cap = data.draw(st.integers(0, 40), label="node_cap")
     masks = data.draw(
         st.lists(st.integers(0, (1 << n * (n - 1) // 2) - 1), min_size=1, max_size=6),
         label="masks",
     )
-    _check_sweep(n, k, rule, node_cap, masks)
+    _check_sweep(n, k, rule, masks)
 
 
 def test_sweep_matches_engine_on_every_5_vertex_class():
     for k in (2, 3):
         for rule in (TJ, TS):
-            for node_cap in range(11):
-                _check_sweep(5, k, rule, node_cap, S.nonisomorphic_masks(5))
+            _check_sweep(5, k, rule, S.nonisomorphic_masks(5))
 
 
 def test_sweep_matches_engine_past_one_word():
@@ -152,8 +140,56 @@ def test_sweep_matches_engine_past_one_word():
     rng = np.random.default_rng(5)
     masks = [0, (1 << 28) - 1, *rng.integers(0, 1 << 28, size=6).tolist()]
     for rule in (TJ, TS):
-        for node_cap in (40, 70):
-            _check_sweep(8, 4, rule, node_cap, masks)
+        _check_sweep(8, 4, rule, masks)
+
+
+def test_candidates_cover_every_class():
+    for n in range(8):
+        minima = orbit_minima(pair_images(n), S._candidates(n))
+        assert np.unique(minima).tolist() == S.nonisomorphic_masks(n), n
+
+
+def test_class_count_matches_census():
+    for n in range(8):
+        assert S._class_count(n) == len(S.nonisomorphic_masks(n)), n
+    assert S._class_count(8) == 12346
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_exhaustive_search_matches_census_route(n):
+    # the census route runs the engine on every class in ascending order,
+    # so it also pins which capped class refuses first, and with what text
+    for k in sorted({0, 1, 2, 3, n + 1}):
+        for rule in (TJ, TS):
+            for node_cap in (*range(13), E.DEFAULT_NODE_CAP):
+                outcomes = []
+                for search in (census_exhaustive_search, S.exhaustive_search):
+                    try:
+                        result = search(n, k, rule, node_cap)
+                    except NodeCapExceeded as exc:
+                        outcomes.append(str(exc))
+                    else:
+                        outcomes.append(result if isinstance(result, dict) else result.to_json())
+                assert outcomes[0] == outcomes[1], (n, k, rule, node_cap)
+
+
+# D(8, k) and the number of extremal classes, the first n the census of
+# size n cannot reach
+@pytest.mark.parametrize(
+    "k, rule, best, classes",
+    [(2, TJ, 6, 3), (2, TS, 10, 8), (3, TJ, 6, 39), (3, TS, 12, 4), (4, TJ, 5, 4)],
+)
+def test_exhaustive_n8(k, rule, best, classes):
+    res = S.exhaustive_search(8, k, rule)
+    assert res.classes_examined == 12346
+    assert (res.best_diameter, len(res.best_masks)) == (best, classes)
+    assert res.best_masks == sorted(set(res.best_masks))
+    for mask in res.best_masks:
+        g = S.mask_to_graph(8, mask)
+        # each entry is its class's orbit minimum, so no two are isomorphic
+        assert canonical_form(g) == mask
+        assert E.max_component_diameter(g, k, rule).diameter == best
+    assert res.witness_edges == list(S.mask_to_graph(8, res.best_masks[0]).edges())
 
 
 def test_exhaustive_search_refuses_at_cap():
@@ -179,6 +215,17 @@ def test_exhaustive_search_refusals_come_first(monkeypatch):
     with pytest.raises(GraphError) as exc:
         S.exhaustive_search(-1, 1)
     assert str(exc.value) == "vertex count must be nonnegative"
+
+
+def test_exhaustive_search_refuses_n9_first(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(S, "nonisomorphic_masks", no_work)
+    monkeypatch.setattr(S, "_sweep_tables", no_work)
+    with pytest.raises(GraphError) as exc:
+        S.exhaustive_search(9, 2)
+    assert str(exc.value) == "exhaustive search supports n <= 8, got 9; use --random T instead"
 
 
 def test_random_search_refuses_at_cap():
