@@ -155,22 +155,23 @@ def test_class_count_matches_census():
     assert S._class_count(8) == 12346
 
 
+def _json_or_refusal(run):
+    try:
+        return run()
+    except NodeCapExceeded as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_exhaustive_search_matches_census_route(n):
     # the census route runs the engine on every class in ascending order,
     # so it also pins which capped class refuses first, and with what text
     for k in sorted({0, 1, 2, 3, n + 1}):
         for rule in (TJ, TS):
-            for node_cap in (*range(13), E.DEFAULT_NODE_CAP):
-                outcomes = []
-                for search in (census_exhaustive_search, S.exhaustive_search):
-                    try:
-                        result = search(n, k, rule, node_cap)
-                    except NodeCapExceeded as exc:
-                        outcomes.append(str(exc))
-                    else:
-                        outcomes.append(result if isinstance(result, dict) else result.to_json())
-                assert outcomes[0] == outcomes[1], (n, k, rule, node_cap)
+            for cap in (*range(13), E.DEFAULT_NODE_CAP):
+                want = _json_or_refusal(lambda: census_exhaustive_search(n, k, rule, cap))
+                got = _json_or_refusal(lambda: S.exhaustive_search(n, k, rule, cap).to_json())
+                assert got == want, (n, k, rule, cap)
 
 
 # D(8, k) and the number of extremal classes, the first n the census of
