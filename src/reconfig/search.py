@@ -27,9 +27,13 @@ ends are nodes (under "ts" also the moved pair must be an edge). For a
 chunk of at most ``_CHUNK`` = 256 graphs the sweep holds every node's
 reach set, bit-packed, and grows all of them by one BFS layer per round,
 all graphs at once (multi-source BFS as in ``engine``'s rounds, after Then
-et al., VLDB 2014). After round r a reach set holds every node within
-distance r, so a graph's largest component diameter is the last round in
-which one of its sets grew; a graph with no independent k-set has none.
+et al., VLDB 2014). The sets are laid out node-major, the graphs of the
+chunk innermost, so a round gathers, for each of the k(n - k) moves, whole
+contiguous rows of the neighbours' sets into one reused buffer. After
+round r a reach set holds every node within distance r, so a graph's
+largest component diameter is the last round in which one of its sets
+grew; a graph with no independent k-set has none. The same pass counts
+each graph's independent k-sets.
 
 A class can only be cut short by the node cap when it has more independent
 k-sets than the cap (the engine's budget rule caps a component of s nodes
@@ -37,7 +41,10 @@ only when s, plus the sizes of the components before it, exceeds the cap),
 so exactly those classes are run through the engine, on their orbit
 minima in ascending order, and its NodeCapExceeded carries the explored
 count; at the default cap no class of n <= 8 (at most 70 nodes) is. The
-winner is re-verified by the engine as an independent cross-check.
+minima are computed by ascending edge count, and the engine runs as soon
+as no later count can give a smaller minimum, so a refusal does not wait
+for every capped candidate's reduction. The winner is re-verified by the
+engine as an independent cross-check.
 
 Random mode samples Erdos-Renyi graphs at several densities plus
 perturbations of the complement-of-path construction, with recorded
@@ -46,6 +53,7 @@ seeds, and computes each diameter with the engine.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -82,13 +90,14 @@ EXHAUSTIVE_LIMIT = 8
 # the census of size n - 1 instead.
 _CENSUS_LIMIT = 7
 
-# Graphs per chunk of the batched sweep. When the sweep ran over the census
-# classes of size n, a process that ran the seven
-# exhaustive-search benchmark jobs 20 times (Python 3.11, numpy 2.4, 2
-# shared CPUs) peaked at 43.6-43.7 MB RSS with 256 classes (43.4-43.7
-# with 64) and at 44.0-44.1 MB with 1,024; the per-class engine loop the
-# sweep replaced peaked at 43.2-43.6 MB. 256 was also the fastest of the
-# three.
+# Graphs per chunk of the batched sweep. With the node-major sets, a
+# process that ran the seven exhaustive-search benchmark jobs 20 times
+# (Python 3.11, numpy 2.4, 2 shared CPUs) peaked at 34.97-35.15 MB RSS
+# with 256 graphs and at 35.42-35.61 MB with 1,024 (the class-major sets
+# at 256: 35.07-35.13 MB); its wall times, 1.3-2.6 s a run, did not tell
+# the two apart. Alone, the sweep of the n = 8, k = 4 candidates took
+# 0.13-0.14 s with 256 and 0.22-0.25 s with 1,024, whose sets outgrow the
+# cache.
 _CHUNK = 256
 
 
@@ -203,38 +212,52 @@ def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _sweep(
     masks: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray], rule: str
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Largest component diameter of every class in ``masks``, -1 for a
-    class with no independent k-set, by batched reach rounds over the
-    ``_sweep_tables``.
+    class with no independent k-set, and its number of independent k-sets,
+    by batched reach rounds over the ``_sweep_tables``.
 
-    ``reach[c, i]`` is the set of nodes within the current radius of node
-    i in class c, packed 64 nodes to a uint64 word; a round ORs in the
-    sets of the node's neighbours in the class's configuration graph.
+    The reach sets are node-major: ``reach[i, w, c]`` is word w of the set
+    of nodes within the current radius of node i in class c, packed 64
+    nodes to a uint64 word, so the classes of the chunk are innermost and
+    node i's sets fill one contiguous row. A round takes, move by move,
+    the rows of every node's t-th neighbour into one reused buffer (under
+    "ts" masked by the moved pair's edge bit) and ORs them in. The set of
+    a subset that is no node stays empty, so a move is masked only at its
+    start, once per round: the empty sets it gathers add nothing.
     """
     inner, nbr, pair = tables
     n = len(inner)
-    indep = masks[:, None] & inner == 0
-    active = indep[:, :, None] & indep[:, nbr]
+    indep = masks & inner[:, None] == 0
+    ones = ~np.uint64(0)
+    keep = np.where(indep, ones, np.uint64(0))[:, None, :]
+    slide = None
     if rule == TS:
-        edge = masks[:, None] >> np.arange(pair.max(initial=0) + 1) & 1 == 1
-        active &= edge[:, pair]
+        edge = masks >> np.arange(pair.max(initial=0) + 1)[:, None] & 1 == 1
+        slide = np.where(edge[pair.T], ones, np.uint64(0))[:, :, None, :]
     node = np.arange(n)
-    unit = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-    unit[node, node // 64] = np.uint64(1) << (node % 64).astype(np.uint64)
-    reach = np.where(indep[:, :, None], unit, np.uint64(0))
-    diameter = np.where(indep.any(axis=1), 0, -1)
+    unit = np.zeros((n, -(-n // 64), 1), dtype=np.uint64)
+    unit[node, node // 64, 0] = np.uint64(1) << (node % 64).astype(np.uint64)
+    reach = unit & keep
+    grown, buf = np.empty_like(reach), np.empty_like(reach)
+    nodes = indep.sum(axis=0)
+    diameter = np.where(nodes > 0, 0, -1)
     rounds = 0
     while True:
         rounds += 1
-        grown = reach.copy()
+        np.copyto(grown, reach)
         for t in range(nbr.shape[1]):
-            grown |= reach[:, nbr[:, t]] * active[:, :, t, None]
-        changed = (grown != reach).any(axis=(1, 2))
+            # "clip" never clips here; it spares np.take a buffered copy
+            np.take(reach, nbr[:, t], axis=0, out=buf, mode="clip")
+            if slide is not None:
+                buf &= slide[t]
+            grown |= buf
+        grown &= keep
+        changed = (grown != reach).any(axis=(0, 1))
         if not changed.any():
-            return diameter
+            return diameter, nodes
         diameter[changed] = rounds
-        reach = grown
+        reach, grown = grown, reach
 
 
 def _class_diameter(
@@ -242,6 +265,37 @@ def _class_diameter(
 ) -> Optional[int]:
     rep = engine.max_component_diameter(g, k, rule, node_cap)
     return rep.exact(caller, node_cap).diameter
+
+
+def _capped_diameters(
+    n: int, k: int, rule: str, node_cap: int, masks: np.ndarray, images: np.ndarray
+) -> np.ndarray:
+    """The engine's diameter of the class of each of ``masks``, run once per
+    class on its orbit minimum, in ascending order, so the first class the
+    node cap cuts short raises NodeCapExceeded.
+
+    A mask with e edges has an orbit minimum of at least 2**e - 1, so the
+    minima are computed one edge count at a time, ascending, and after each
+    count the engine runs on the known minima below the next count's
+    bound. The order of the engine calls is that of all minima sorted, but
+    a refusal comes before the minima of the larger counts are computed.
+    """
+    edges = np.bitwise_count(masks)
+    counts = np.unique(edges).tolist()
+    bounds = [(1 << e) - 1 for e in counts[1:]] + [math.inf]
+    minima = np.zeros(len(masks), dtype=np.int64)
+    pending: list[int] = []
+    found: dict[int, int] = {}
+    for e, bound in zip(counts, bounds):
+        group = edges == e
+        minima[group] = orbit_minima(images, masks[group])
+        for rep in np.unique(minima[group]).tolist():
+            heapq.heappush(pending, rep)
+        while pending and pending[0] < bound:
+            rep = heapq.heappop(pending)
+            g = mask_to_graph(n, rep)
+            found[rep] = _class_diameter(g, k, rule, node_cap, "exhaustive_search")
+    return np.array([found[m] for m in minima.tolist()])
 
 
 def _class_count(n: int) -> int:
@@ -323,21 +377,12 @@ def exhaustive_search(
     engine._check_k(k)
     masks = _candidates(n)
     tables = _sweep_tables(n, k)
-    swept, nodes = [], []
-    for lo in range(0, len(masks), _CHUNK):
-        chunk = masks[lo : lo + _CHUNK]
-        swept.append(_sweep(chunk, tables, rule))
-        nodes.append((chunk[:, None] & tables[0] == 0).sum(axis=1))
-    diameter = np.concatenate(swept)
+    swept = [_sweep(masks[lo : lo + _CHUNK], tables, rule) for lo in range(0, len(masks), _CHUNK)]
+    diameter, nodes = map(np.concatenate, zip(*swept))
     images = pair_images(n)
-    over = np.flatnonzero(np.concatenate(nodes) > max(node_cap, 0))
+    over = np.flatnonzero(nodes > max(node_cap, 0))
     if len(over):
-        reps, which = np.unique(orbit_minima(images, masks[over]), return_inverse=True)
-        found = [
-            _class_diameter(mask_to_graph(n, rep), k, rule, node_cap, "exhaustive_search")
-            for rep in reps.tolist()
-        ]
-        diameter[over] = np.array(found)[which]
+        diameter[over] = _capped_diameters(n, k, rule, node_cap, masks[over], images)
     best: Optional[int] = None
     best_masks: list[int] = []
     witness = None

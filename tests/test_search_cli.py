@@ -15,6 +15,7 @@ from oracles import (
     brute_component_diameters,
     brute_perm_byte_tables,
     census_exhaustive_search,
+    eager_capped_diameters,
 )
 import reconfig
 from reconfig import cli
@@ -32,9 +33,10 @@ def test_nonisomorphic_class_counts():
 
 
 def test_reps_are_canonical_minima():
+    images = pair_images(5)
     for rep in S.nonisomorphic_masks(5)[:20]:
         g = S.mask_to_graph(5, rep)
-        assert canonical_form(g) == rep
+        assert canonical_form(g, images) == rep
         assert S.graph_to_mask(g) == rep
 
 
@@ -57,8 +59,9 @@ def test_every_rep_is_its_orbit_minimum():
         reps = S.nonisomorphic_masks(n)
         assert len(reps) == count
         assert all(a < b for a, b in zip(reps, reps[1:]))
+        images = pair_images(n)
         for rep in reps:
-            assert canonical_form(S.mask_to_graph(n, rep)) == rep
+            assert canonical_form(S.mask_to_graph(n, rep), images) == rep
 
 
 def test_exhaustive_limit():
@@ -93,11 +96,12 @@ def test_exhaustive_n6_k3_regression():
     import networkx as nx
 
     diameters = {}
+    images = pair_images(6)
     for h in nx.graph_atlas_g():
         if h.number_of_nodes() == 6:
             g = Graph.from_edges(6, list(h.edges()))
             found = brute_component_diameters(g, 3)
-            diameters[canonical_form(g)] = found[0] if found else None
+            diameters[canonical_form(g, images)] = found[0] if found else None
     assert len(diameters) == 156
     best = max(d for d in diameters.values() if d is not None)
     assert best == 3
@@ -106,14 +110,18 @@ def test_exhaustive_n6_k3_regression():
 
 def _check_sweep(n, k, rule, masks):
     """The sweep, run on ``masks`` as one chunk, gives each class the
-    engine's largest component diameter."""
+    engine's largest component diameter and its number of independent
+    k-sets."""
     tables = S._sweep_tables(n, k)
-    swept = S._sweep(np.array(masks, dtype=np.int64), tables, rule).tolist()
-    want = []
+    swept, nodes = S._sweep(np.array(masks, dtype=np.int64), tables, rule)
+    want, want_nodes = [], []
     for mask in masks:
-        d = E.max_component_diameter(S.mask_to_graph(n, mask), k, rule).diameter
+        g = S.mask_to_graph(n, mask)
+        d = E.max_component_diameter(g, k, rule).diameter
         want.append(-1 if d is None else d)
-    assert swept == want, (n, k, rule, masks)
+        want_nodes.append(len(E.independent_sets(g, k)))
+    assert swept.tolist() == want, (n, k, rule, masks)
+    assert nodes.tolist() == want_nodes, (n, k, rule, masks)
 
 
 @given(st.data())
@@ -185,12 +193,65 @@ def test_exhaustive_n8(k, rule, best, classes):
     assert res.classes_examined == 12346
     assert (res.best_diameter, len(res.best_masks)) == (best, classes)
     assert res.best_masks == sorted(set(res.best_masks))
+    images = pair_images(8)
     for mask in res.best_masks:
         g = S.mask_to_graph(8, mask)
         # each entry is its class's orbit minimum, so no two are isomorphic
-        assert canonical_form(g) == mask
+        assert canonical_form(g, images) == mask
         assert E.max_component_diameter(g, k, rule).diameter == best
     assert res.witness_edges == list(S.mask_to_graph(8, res.best_masks[0]).edges())
+
+
+def test_exhaustive_search_independent_of_chunk_size(monkeypatch):
+    # chunks of 5 mix classes without an independent k-set (-1) with the
+    # rest; the last size puts every candidate into one chunk
+    tables = S._sweep_tables(6, 3)
+    swept, _ = S._sweep(S._candidates(6), tables, TJ)
+    assert any(-1 in c and c.max() >= 0 for c in np.split(swept, range(5, len(swept), 5)))
+    for n in range(7):
+        for k in (1, 2, 3):
+            for rule in (TJ, TS):
+                outs = []
+                for chunk in (1, 5, len(S._candidates(n)) + 1):
+                    monkeypatch.setattr(S, "_CHUNK", chunk)
+                    outs.append(json.dumps(S.exhaustive_search(n, k, rule).to_json()))
+                assert outs[0] == outs[1] == outs[2], (n, k, rule)
+
+
+def _capped_routes(n, k, rule, caps):
+    """Per cap: the diameters of the candidates above it, or the refusal
+    text, by the search's lazy route and by the eager oracle."""
+    masks = S._candidates(n)
+    _, nodes = S._sweep(masks, S._sweep_tables(n, k), rule)
+    images = pair_images(n)
+    for cap in caps:
+        over = masks[nodes > max(cap, 0)]
+        if len(over):
+            routes = [
+                _json_or_refusal(lambda: route(n, k, rule, cap, over, images).tolist())
+                for route in (S._capped_diameters, eager_capped_diameters)
+            ]
+            yield cap, routes
+
+
+def test_capped_routes_agree_up_to_n7():
+    # k = 0 and the smallest caps route classes that the engine does not
+    # cut short (single-node components), so a refusal can come late
+    late = 0
+    for n in range(8):
+        for k in (0, 1, 2, 3):
+            for rule in (TJ, TS):
+                for cap, (lazy, eager) in _capped_routes(n, k, rule, range(13)):
+                    assert lazy == eager, (n, k, rule, cap)
+                    late += isinstance(lazy, list)
+    assert late
+
+
+@pytest.mark.parametrize("k, rule, cap", [(2, TJ, 4), (3, TJ, 0), (2, TS, 4)])
+def test_capped_routes_agree_n8(k, rule, cap):
+    ((_, (lazy, eager)),) = _capped_routes(8, k, rule, [cap])
+    assert isinstance(lazy, str) and lazy == eager
+    assert _json_or_refusal(lambda: S.exhaustive_search(8, k, rule, cap)) == lazy
 
 
 def test_exhaustive_search_refuses_at_cap():
