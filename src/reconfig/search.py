@@ -93,7 +93,7 @@ _CENSUS_LIMIT = 7
 # Graphs per chunk of the batched sweep. With the node-major sets, a
 # process that ran the seven exhaustive-search benchmark jobs 20 times
 # (Python 3.11, numpy 2.4, 2 shared CPUs) peaked at 34.97-35.15 MB RSS
-# with 256 graphs and at 35.42-35.61 MB with 1,024 (the class-major sets
+# with 256 graphs and at 35.43-35.61 MB with 1,024 (the class-major sets
 # at 256: 35.07-35.13 MB); its wall times, 1.3-2.6 s a run, did not tell
 # the two apart. Alone, the sweep of the n = 8, k = 4 candidates took
 # 0.13-0.14 s with 256 and 0.22-0.25 s with 1,024, whose sets outgrow the

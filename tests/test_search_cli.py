@@ -247,6 +247,22 @@ def test_capped_routes_agree_up_to_n7():
     assert late
 
 
+def test_capped_classes_run_in_ascending_order(monkeypatch):
+    # with k = 0 every class has one node, above a cap of 0, and none is
+    # cut short: the engine sees every class once, in ascending order,
+    # though the edge counts interleave the minima, then the winner again
+    calls = []
+    engine_diameter = S._class_diameter
+
+    def record(g, *args):
+        calls.append(S.graph_to_mask(g))
+        return engine_diameter(g, *args)
+
+    monkeypatch.setattr(S, "_class_diameter", record)
+    res = S.exhaustive_search(6, 0, TJ, 0)
+    assert calls == [*S.nonisomorphic_masks(6), res.best_masks[0]]
+
+
 @pytest.mark.parametrize("k, rule, cap", [(2, TJ, 4), (3, TJ, 0), (2, TS, 4)])
 def test_capped_routes_agree_n8(k, rule, cap):
     ((_, (lazy, eager)),) = _capped_routes(8, k, rule, [cap])
