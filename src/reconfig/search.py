@@ -377,7 +377,8 @@ def exhaustive_search(
     engine._check_k(k)
     masks = _candidates(n)
     tables = _sweep_tables(n, k)
-    swept = [_sweep(masks[lo : lo + _CHUNK], tables, rule) for lo in range(0, len(masks), _CHUNK)]
+    starts = range(0, len(masks), _CHUNK)
+    swept = [_sweep(masks[lo : lo + _CHUNK], tables, rule) for lo in starts]
     diameter, nodes = map(np.concatenate, zip(*swept))
     images = pair_images(n)
     over = np.flatnonzero(nodes > max(node_cap, 0))
