@@ -12,7 +12,7 @@ import itertools
 import operator
 import re
 import warnings
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -299,24 +299,15 @@ def orbit_minima(images: np.ndarray, masks) -> np.ndarray:
     return np.concatenate([np.zeros(0), *blocks]).astype(np.int64)
 
 
-def canonical_form(g: Graph, images: Optional[np.ndarray] = None) -> int:
+def canonical_form(g: Graph) -> int:
     """Minimum edge bitmask (see ``edge_pairs``) over all vertex permutations.
 
     Factorial cost; intended for the small-n exhaustive search and
-    isomorphism checks on witnesses, so n is limited to 8. A caller that
-    canonicalizes many graphs of one size passes ``images = pair_images(n)``
-    once instead of letting every call rebuild it.
+    isomorphism checks on witnesses, so n is limited to 8.
     """
     if g.n > 8:
         raise GraphError(f"canonical_form refused: n={g.n} exceeds limit 8")
-    if images is None:
-        images = pair_images(g.n)
-    elif images.shape[1] != g.n * (g.n - 1) // 2:
-        raise GraphError(
-            f"canonical_form: images cover {images.shape[1]} pairs, "
-            f"a graph on {g.n} vertices has {g.n * (g.n - 1) // 2}"
-        )
-    return int(orbit_minima(images, graph_to_mask(g))[0])
+    return int(orbit_minima(pair_images(g.n), graph_to_mask(g))[0])
 
 
 # -- serialization ---------------------------------------------------------

@@ -41,10 +41,7 @@ only when s, plus the sizes of the components before it, exceeds the cap),
 so exactly those classes are run through the engine, on their orbit
 minima in ascending order, and its NodeCapExceeded carries the explored
 count; at the default cap no class of n <= 8 (at most 70 nodes) is. The
-minima are computed by ascending edge count, and the engine runs as soon
-as no later count can give a smaller minimum, so a refusal does not wait
-for every capped candidate's reduction. The winner is re-verified by the
-engine as an independent cross-check.
+winner is re-verified by the engine as an independent cross-check.
 
 Random mode samples Erdos-Renyi graphs at several densities plus
 perturbations of the complement-of-path construction, with recorded
@@ -53,7 +50,6 @@ seeds, and computes each diameter with the engine.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -267,37 +263,6 @@ def _class_diameter(
     return rep.exact(caller, node_cap).diameter
 
 
-def _capped_diameters(
-    n: int, k: int, rule: str, node_cap: int, masks: np.ndarray, images: np.ndarray
-) -> np.ndarray:
-    """The engine's diameter of the class of each of ``masks``, run once per
-    class on its orbit minimum, in ascending order, so the first class the
-    node cap cuts short raises NodeCapExceeded.
-
-    A mask with e edges has an orbit minimum of at least 2**e - 1, so the
-    minima are computed one edge count at a time, ascending, and after each
-    count the engine runs on the known minima below the next count's
-    bound. The order of the engine calls is that of all minima sorted, but
-    a refusal comes before the minima of the larger counts are computed.
-    """
-    edges = np.bitwise_count(masks)
-    counts = np.unique(edges).tolist()
-    bounds = [(1 << e) - 1 for e in counts[1:]] + [math.inf]
-    minima = np.zeros(len(masks), dtype=np.int64)
-    pending: list[int] = []
-    found: dict[int, int] = {}
-    for e, bound in zip(counts, bounds):
-        group = edges == e
-        minima[group] = orbit_minima(images, masks[group])
-        for rep in np.unique(minima[group]).tolist():
-            heapq.heappush(pending, rep)
-        while pending and pending[0] < bound:
-            rep = heapq.heappop(pending)
-            g = mask_to_graph(n, rep)
-            found[rep] = _class_diameter(g, k, rule, node_cap, "exhaustive_search")
-    return np.array([found[m] for m in minima.tolist()])
-
-
 def _class_count(n: int) -> int:
     """Number of isomorphism classes of n-vertex graphs, by Burnside's lemma.
 
@@ -383,7 +348,12 @@ def exhaustive_search(
     images = pair_images(n)
     over = np.flatnonzero(nodes > max(node_cap, 0))
     if len(over):
-        diameter[over] = _capped_diameters(n, k, rule, node_cap, masks[over], images)
+        reps, which = np.unique(orbit_minima(images, masks[over]), return_inverse=True)
+        found = [
+            _class_diameter(mask_to_graph(n, rep), k, rule, node_cap, "exhaustive_search")
+            for rep in reps.tolist()
+        ]
+        diameter[over] = np.array(found)[which]
     best: Optional[int] = None
     best_masks: list[int] = []
     witness = None

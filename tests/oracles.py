@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 
 from reconfig.engine import DEFAULT_NODE_CAP, TJ, TS, max_component_diameter
-from reconfig.graph import Graph, GraphError, mask_to_graph, orbit_minima
+from reconfig.graph import Graph, GraphError, mask_to_graph
 from reconfig.search import nonisomorphic_masks
 
 
@@ -277,21 +277,6 @@ def census_exhaustive_search(n: int, k: int, rule: str = TJ,
         "classes_examined": len(reps), "best_masks": best_masks,
         "trials": None, "seed": None,
     }
-
-
-def eager_capped_diameters(n: int, k: int, rule: str, node_cap: int,
-                           masks: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The engine's diameter of the class of each of ``masks``: every mask
-    reduced to its orbit minimum first, then the engine on the distinct
-    minima in ascending order, so that the first class the node cap cuts
-    short raises NodeCapExceeded."""
-    reps, which = np.unique(orbit_minima(images, masks), return_inverse=True)
-    found = [
-        max_component_diameter(mask_to_graph(n, rep), k, rule, node_cap)
-        .exact("exhaustive_search", node_cap).diameter
-        for rep in reps.tolist()
-    ]
-    return np.array(found)[which]
 
 
 def brute_parse_edge_list(text: str) -> Graph:

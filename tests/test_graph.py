@@ -25,7 +25,6 @@ from reconfig.graph import (
     independence_number,
     is_independent,
     parse_edge_list,
-    pair_images,
     parse_graph6,
     read_graph,
     write_edge_list,
@@ -383,18 +382,6 @@ def test_canonical_form_matches_brute_oracle():
     assert canonical_form(Graph.empty(0)) == canonical_form(Graph.empty(1)) == 0
     with pytest.raises(GraphError, match="exceeds limit 8"):
         canonical_form(Graph.empty(9))
-
-
-def test_canonical_form_with_prebuilt_images():
-    rng = random.Random(13)
-    images = {n: pair_images(n) for n in range(9)}
-    for n in (0, 1, 2, 5, 7, 8):
-        g = random_graph(rng, n, rng.random())
-        assert canonical_form(g, images[n]) == canonical_form(g)
-    assert canonical_form(Graph.empty(1), images[0]) == 0
-    with pytest.raises(GraphError) as exc:
-        canonical_form(Graph.empty(6), images[5])
-    assert str(exc.value) == "canonical_form: images cover 10 pairs, a graph on 6 vertices has 15"
 
 
 def test_with_edge_and_immutability():

@@ -15,7 +15,6 @@ from oracles import (
     brute_component_diameters,
     brute_perm_byte_tables,
     census_exhaustive_search,
-    eager_capped_diameters,
 )
 import reconfig
 from reconfig import cli
@@ -36,7 +35,7 @@ def test_reps_are_canonical_minima():
     images = pair_images(5)
     for rep in S.nonisomorphic_masks(5)[:20]:
         g = S.mask_to_graph(5, rep)
-        assert canonical_form(g, images) == rep
+        assert orbit_minima(images, S.graph_to_mask(g))[0] == rep
         assert S.graph_to_mask(g) == rep
 
 
@@ -61,7 +60,7 @@ def test_every_rep_is_its_orbit_minimum():
         assert all(a < b for a, b in zip(reps, reps[1:]))
         images = pair_images(n)
         for rep in reps:
-            assert canonical_form(S.mask_to_graph(n, rep), images) == rep
+            assert orbit_minima(images, S.graph_to_mask(S.mask_to_graph(n, rep)))[0] == rep
 
 
 def test_exhaustive_limit():
@@ -101,7 +100,8 @@ def test_exhaustive_n6_k3_regression():
         if h.number_of_nodes() == 6:
             g = Graph.from_edges(6, list(h.edges()))
             found = brute_component_diameters(g, 3)
-            diameters[canonical_form(g, images)] = found[0] if found else None
+            rep = int(orbit_minima(images, S.graph_to_mask(g))[0])
+            diameters[rep] = found[0] if found else None
     assert len(diameters) == 156
     best = max(d for d in diameters.values() if d is not None)
     assert best == 3
@@ -197,7 +197,7 @@ def test_exhaustive_n8(k, rule, best, classes):
     for mask in res.best_masks:
         g = S.mask_to_graph(8, mask)
         # each entry is its class's orbit minimum, so no two are isomorphic
-        assert canonical_form(g, images) == mask
+        assert orbit_minima(images, S.graph_to_mask(g))[0] == mask
         assert E.max_component_diameter(g, k, rule).diameter == best
     assert res.witness_edges == list(S.mask_to_graph(8, res.best_masks[0]).edges())
 
@@ -218,39 +218,10 @@ def test_exhaustive_search_independent_of_chunk_size(monkeypatch):
                 assert outs[0] == outs[1] == outs[2], (n, k, rule)
 
 
-def _capped_routes(n, k, rule, caps):
-    """Per cap: the diameters of the candidates above it, or the refusal
-    text, by the search's lazy route and by the eager oracle."""
-    masks = S._candidates(n)
-    _, nodes = S._sweep(masks, S._sweep_tables(n, k), rule)
-    images = pair_images(n)
-    for cap in caps:
-        over = masks[nodes > max(cap, 0)]
-        if len(over):
-            routes = [
-                _json_or_refusal(lambda: route(n, k, rule, cap, over, images).tolist())
-                for route in (S._capped_diameters, eager_capped_diameters)
-            ]
-            yield cap, routes
-
-
-def test_capped_routes_agree_up_to_n7():
-    # k = 0 and the smallest caps route classes that the engine does not
-    # cut short (single-node components), so a refusal can come late
-    late = 0
-    for n in range(8):
-        for k in (0, 1, 2, 3):
-            for rule in (TJ, TS):
-                for cap, (lazy, eager) in _capped_routes(n, k, rule, range(13)):
-                    assert lazy == eager, (n, k, rule, cap)
-                    late += isinstance(lazy, list)
-    assert late
-
-
 def test_capped_classes_run_in_ascending_order(monkeypatch):
     # with k = 0 every class has one node, above a cap of 0, and none is
     # cut short: the engine sees every class once, in ascending order,
-    # though the edge counts interleave the minima, then the winner again
+    # then the winner again
     calls = []
     engine_diameter = S._class_diameter
 
@@ -261,13 +232,6 @@ def test_capped_classes_run_in_ascending_order(monkeypatch):
     monkeypatch.setattr(S, "_class_diameter", record)
     res = S.exhaustive_search(6, 0, TJ, 0)
     assert calls == [*S.nonisomorphic_masks(6), res.best_masks[0]]
-
-
-@pytest.mark.parametrize("k, rule, cap", [(2, TJ, 4), (3, TJ, 0), (2, TS, 4)])
-def test_capped_routes_agree_n8(k, rule, cap):
-    ((_, (lazy, eager)),) = _capped_routes(8, k, rule, [cap])
-    assert isinstance(lazy, str) and lazy == eager
-    assert _json_or_refusal(lambda: S.exhaustive_search(8, k, rule, cap)) == lazy
 
 
 def test_exhaustive_search_refuses_at_cap():

@@ -1,48 +1,38 @@
 """Time ``search._sweep`` per call on the exhaustive-search candidates.
 
 For each (n, k, rule) cell the candidates of ``search._candidates(n)`` are
-cut into chunks of ``search._CHUNK`` and every chunk is swept once; a
-repeat times the whole pass, and the script prints, as one JSON line, the
-median and the spread of the repeats and the per-call median. Run it from
-the root of a checkout, or name one with ``--src``, so that two commits
-can be timed one after the other:
+cut into chunks of ``search._CHUNK`` and every chunk is swept once; each of
+5 repeats times the whole pass, and the script prints, as one JSON line,
+the median and the spread of the repeats and the per-call median. It
+times the ``reconfig`` package on the import path, so two checkouts can be
+timed one after the other:
 
-    python3 tools/time_sweep.py --repeats 5
-    python3 tools/time_sweep.py --src /path/to/other/checkout/src
-    python3 tools/time_sweep.py --chunk 1024    # another chunk size
+    PYTHONPATH=src python3 tools/time_sweep.py
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/time_sweep.py
 """
 
-import argparse
 import json
 import statistics
-import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+from reconfig import search as S
+
 CELLS = [(7, 2, "tj"), (7, 3, "tj"), (7, 2, "ts"), (8, 2, "tj"), (8, 3, "ts"), (8, 4, "tj")]
+REPEATS = 5
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--chunk", type=int, help="graphs per call (default: search._CHUNK)")
-    args = ap.parse_args()
-    sys.path.insert(0, args.src)
-    import numpy as np
-
-    from reconfig import search as S
-
-    if args.chunk:
-        S._CHUNK = args.chunk
-    out = {"src": args.src, "chunk": S._CHUNK, "cells": []}
+    out = {"src": str(Path(S.__file__).parents[1]), "chunk": S._CHUNK, "cells": []}
     for n, k, rule in CELLS:
         masks = S._candidates(n)
         tables = S._sweep_tables(n, k)
         chunks = [masks[lo : lo + S._CHUNK] for lo in range(0, len(masks), S._CHUNK)]
         S._sweep(chunks[0], tables, rule)  # warm-up
         passes = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             for chunk in chunks:
                 S._sweep(chunk, tables, rule)
