@@ -9,6 +9,7 @@ check/disagreement, 2 precondition refusal or unreadable/unwritable file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -231,6 +232,7 @@ def _cmd_apset(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built by the first main() call; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reconfig", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")

@@ -131,9 +131,11 @@ def complement_path(n: int) -> tuple[Graph, BuildReport]:
 
 
 def _complement_path_rows(n: int) -> list[int]:
-    # row i is everything but i-1, i, i+1: the bits of 7 << i >> 1
+    # row i is everything but i-1, i, i+1; the end rows lack one neighbour
+    # (n >= 2: complement_path takes n >= 3 and the toll strip 6n + 2)
     full = (1 << n) - 1
-    return [full ^ ((7 << i >> 1) & full) for i in range(n)]
+    inner = [full ^ (7 << (i - 1)) for i in range(1, n - 1)]
+    return [full ^ 3, *inner, full ^ (3 << (n - 2))]
 
 
 # ---------------------------------------------------------------------------

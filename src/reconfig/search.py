@@ -50,6 +50,7 @@ seeds, and computes each diameter with the engine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -180,8 +181,22 @@ def nonisomorphic_masks(n: int) -> list[int]:
         m += step
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _pair_images(n: int) -> np.ndarray:
+    """``pair_images(n)``, read-only, built once per process for the
+    exhaustive search's n <= 8."""
+    return _read_only(pair_images(n))
+
+
+@functools.cache
 def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables every n-vertex class shares for k tokens.
+    """The tables every n-vertex class shares for k tokens, read-only and
+    built once per process.
 
     ``inner[i]`` is the mask, in ``edge_pairs`` bit order, of the pairs
     inside the i-th k-subset of ``range(n)`` in key order (colex, as the
@@ -200,9 +215,9 @@ def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pair.append([bit[min(u, v), max(u, v)] for u, v in moves])
     shape = (len(subsets), k * (n - k) if subsets else 0)
     return (
-        np.array(inner, dtype=np.int64),
-        np.array(nbr, dtype=np.intp).reshape(shape),
-        np.array(pair, dtype=np.int64).reshape(shape),
+        _read_only(np.array(inner, dtype=np.int64)),
+        _read_only(np.array(nbr, dtype=np.intp).reshape(shape)),
+        _read_only(np.array(pair, dtype=np.int64).reshape(shape)),
     )
 
 
@@ -287,8 +302,10 @@ def _class_count(n: int) -> int:
     return fixed // math.factorial(n)
 
 
+@functools.cache
 def _candidates(n: int) -> np.ndarray:
-    """Edge masks that cover every n-vertex class, some more than once.
+    """Edge masks that cover every n-vertex class, some more than once,
+    read-only and built once per process.
 
     Each (n - 1)-vertex class R, its bits moved to their n-vertex
     ``edge_pairs`` positions, gains a vertex n - 1 for every neighbourhood
@@ -296,7 +313,7 @@ def _candidates(n: int) -> np.ndarray:
     Every graph has a vertex of maximum degree, so every class appears.
     """
     if n <= 1:
-        return np.zeros(1, dtype=np.int64)
+        return _read_only(np.zeros(1, dtype=np.int64))
     reps = np.array(nonisomorphic_masks(n - 1), dtype=np.int64)
     bit = {pair: b for b, pair in enumerate(edge_pairs(n))}
     old = edge_pairs(n - 1)
@@ -311,7 +328,7 @@ def _candidates(n: int) -> np.ndarray:
     fits = (size[None, :, None] >= degree[:, None, :] + member).all(axis=2)
     new = member @ np.array([1 << bit[u, n - 1] for u in range(n - 1)], dtype=np.int64)
     cls, nbhd = np.nonzero(fits)
-    return base[cls] | new[nbhd]
+    return _read_only(base[cls] | new[nbhd])
 
 
 def exhaustive_search(
@@ -345,7 +362,7 @@ def exhaustive_search(
     starts = range(0, len(masks), _CHUNK)
     swept = [_sweep(masks[lo : lo + _CHUNK], tables, rule) for lo in starts]
     diameter, nodes = map(np.concatenate, zip(*swept))
-    images = pair_images(n)
+    images = _pair_images(n)
     over = np.flatnonzero(nodes > max(node_cap, 0))
     if len(over):
         reps, which = np.unique(orbit_minima(images, masks[over]), return_inverse=True)

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,47 @@ def test_exhaustive_search_refuses_n9_first(monkeypatch):
     assert str(exc.value) == "exhaustive search supports n <= 8, got 9; use --random T instead"
 
 
+def test_search_memos_are_read_only():
+    S.exhaustive_search(6, 2, TS)
+    tables = [S._candidates(6), *S._sweep_tables(6, 2), S._pair_images(6)]
+    tables += [S._candidates(1), *S._sweep_tables(3, 5)]  # the small and empty ones
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+
+
+def test_exhaustive_search_same_cold_and_warm():
+    memos = (S._candidates, S._sweep_tables, S._pair_images)
+    for n in range(7):
+        for k in (1, 2, 3):
+            for rule in (TJ, TS):
+                for memo in memos:
+                    memo.cache_clear()
+                cold = json.dumps(S.exhaustive_search(n, k, rule).to_json())
+                warm = json.dumps(S.exhaustive_search(n, k, rule).to_json())
+                assert cold == warm, (n, k, rule)
+
+
+def test_exhaustive_search_memoises_no_answer(monkeypatch):
+    # the memos keep tables only: a repeated search sweeps and re-verifies
+    # its winner again
+    calls = Counter()
+    sweep, class_diameter = S._sweep, S._class_diameter
+
+    def count(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(S, "_sweep", count("sweep", sweep))
+    monkeypatch.setattr(S, "_class_diameter", count("verify", class_diameter))
+    first = S.exhaustive_search(6, 2).to_json()
+    assert S.exhaustive_search(6, 2).to_json() == first
+    chunks = -(-len(S._candidates(6)) // S._CHUNK)
+    assert calls == {"sweep": 2 * chunks, "verify": 2}
+
+
 def test_random_search_refuses_at_cap():
     with pytest.raises(NodeCapExceeded, match="random_search: node cap 2"):
         S.random_search(6, 2, trials=3, node_cap=2)
@@ -518,6 +560,45 @@ def test_cli_usage_errors(capsys):
         cli.main(["verify", "not-a-check"])
     assert exc.value.code == 64
     capsys.readouterr()
+
+
+def test_cli_parser_reuse_keeps_no_state(tmp_path, capsys):
+    # the second call of each pair, made through the parser the first call
+    # built, gives what it gives through a fresh parser
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    search = ["search", "--n", "6", "--k", "2"]
+    prefix = str(tmp_path / "P")
+    pairs = [
+        (["--cap", "4", *search, "--exhaustive"], [*search, "--exhaustive"]),
+        ([*search, "--random", "5"], [*search, "--exhaustive"]),
+        ([*search, "--exhaustive", "--random", "5"], [*search, "--exhaustive"]),
+        (["construct", "comp-path", "--n", "5", "--out", prefix],
+         ["diameter", prefix + ".edges", "--k", "2"]),
+    ]
+    codes = []
+    for first, second in pairs:
+        cli._build_parser.cache_clear()
+        reused = [run(first), run(second)]
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        fresh = []
+        for argv in (first, second):
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh, (first, second)
+        codes.append((reused[0][0], reused[1][0]))
+        if first[:2] == ["--cap", "4"]:
+            assert json.loads(reused[1][1])["best_diameter"] == 4
+    # a capped search, a random one, a usage error and a construction, each
+    # followed by a call that succeeds
+    assert codes == [(3, 0), (0, 0), (64, 0), (0, 0)]
 
 
 def _declared_console_script(name):
