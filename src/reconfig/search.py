@@ -43,6 +43,12 @@ minima in ascending order, and its NodeCapExceeded carries the explored
 count; at the default cap no class of n <= 8 (at most 70 nodes) is. The
 winner is re-verified by the engine as an independent cross-check.
 
+The tables that depend only on n or on (n, k), the candidates, the sweep
+tables and the pair images for the orbit minima, are built on first use
+and kept for the life of the process, read-only: 0.26 MB for n = 7 and
+every k, 2.6 MB for n = 8. No answer is kept: every search sweeps its
+candidates and re-verifies its winner again.
+
 Random mode samples Erdos-Renyi graphs at several densities plus
 perturbations of the complement-of-path construction, with recorded
 seeds, and computes each diameter with the engine.

@@ -582,7 +582,7 @@ def test_cli_parser_reuse_keeps_no_state(tmp_path, capsys):
         (["construct", "comp-path", "--n", "5", "--out", prefix],
          ["diameter", prefix + ".edges", "--k", "2"]),
     ]
-    codes = []
+    results = []
     for first, second in pairs:
         cli._build_parser.cache_clear()
         reused = [run(first), run(second)]
@@ -593,12 +593,11 @@ def test_cli_parser_reuse_keeps_no_state(tmp_path, capsys):
             cli._build_parser.cache_clear()
             fresh.append(run(argv))
         assert reused == fresh, (first, second)
-        codes.append((reused[0][0], reused[1][0]))
-        if first[:2] == ["--cap", "4"]:
-            assert json.loads(reused[1][1])["best_diameter"] == 4
+        results.append(reused)
     # a capped search, a random one, a usage error and a construction, each
-    # followed by a call that succeeds
-    assert codes == [(3, 0), (0, 0), (64, 0), (0, 0)]
+    # followed by a call that succeeds; after --cap 4 the default cap holds
+    assert [(a[0], b[0]) for a, b in results] == [(3, 0), (0, 0), (64, 0), (0, 0)]
+    assert json.loads(results[0][1][1])["best_diameter"] == 4
 
 
 def _declared_console_script(name):
