@@ -163,7 +163,7 @@ def _path_defect(comp: engine.ConfigComponent) -> Optional[str]:
     """Why an uncapped component is not a path, or None when it is one;
     degrees come from the component's neighbour rows. A component is
     connected, so it is a path iff it is a tree with no degree above 2."""
-    degs = [len(row) for row in comp.rows]
+    degs = comp.degrees().tolist()
     n_edges = sum(degs) // 2
     if n_edges != comp.size - 1:
         return f"{n_edges} edges on {comp.size} nodes"

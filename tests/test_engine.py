@@ -209,12 +209,14 @@ def test_engine_matches_explicit_oracle():
             continue
         a, b = rng.choice(sets), rng.choice(sets)
         assert E.distance(g, k, a, b) == explicit_distance(g, k, a, b)
-        got = {frozenset(c.dist) for c in E.enumerate_components(g, k)}
+        comps = E.enumerate_components(g, k)
+        got = {frozenset(c.dist) for c in comps}
         want = {
             frozenset(E.encode_key(s) for s in comp)
             for comp in explicit_components(g, k)
         }
         assert got == want
+        _assert_adjacency_matches_oracle(g, k, TJ, comps)
 
 
 def test_engine_matches_explicit_oracle_ts():
@@ -227,6 +229,18 @@ def test_engine_matches_explicit_oracle_ts():
             continue
         a, b = rng.choice(sets), rng.choice(sets)
         assert E.distance(g, 2, a, b, TS) == explicit_distance(g, 2, a, b, TS)
+        _assert_adjacency_matches_oracle(g, 2, TS, E.enumerate_components(g, 2, TS))
+
+
+def _assert_adjacency_matches_oracle(g, k, rule, comps):
+    """Every component's adjacency, key by key in ascending order, is the
+    materialized configuration graph's."""
+    _, adj = explicit_config_graph(g, k, rule)
+    want = {E.encode_key(s): sorted(map(E.encode_key, nbrs)) for s, nbrs in adj.items()}
+    for comp in comps:
+        got = E.component_adjacency(comp)
+        assert list(got) == sorted(comp.dist)
+        assert got == {key: want[key] for key in got}
 
 
 def test_triangle_inequality_sampled():
@@ -482,11 +496,48 @@ def test_shortest_sequence_source_found_after_cap():
 
 
 def test_key_width_refusal():
-    # vertex 65536 does not fit a 16-bit key field
+    # vertex 65536 does not fit a 16-bit key field; the refusal comes
+    # before any array of the set index is made
     g = Graph.empty((1 << 16) + 1)
-    with pytest.raises(GraphError, match="key width"):
-        E.bfs_component(g, 1, (0,))
+    with mock.patch.object(E.np, "frombuffer", side_effect=AssertionError("index built")):
+        with pytest.raises(GraphError, match="key width"):
+            E.bfs_component(g, 1, (0,))
+        with pytest.raises(GraphError, match="key width"):
+            E.enumerate_components(g, 1)
     with pytest.raises(GraphError, match="vertex 65536 exceeds key width"):
         E.encode_key([1, 1 << 16])
     with pytest.raises(GraphError, match="strictly increasing"):
         E.encode_key([2, 1])
+
+
+@given(st.integers(1, 9), st.integers(0, 5), st.sampled_from((TJ, TS)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_index_rows_match_neighbor_keys(n, k, rule, data):
+    # keys of k = 5 tokens are 80 bits wide: the index groups on vertex
+    # tuples, not on keys
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    for comp in E.enumerate_components(g, k, rule):
+        nodes, indptr, cols = comp.csr()
+        keys = [comp.index.keys[i] for i in nodes.tolist()]
+        assert keys == sorted(comp.dist)
+        for p, key in enumerate(keys):
+            row = [keys[c] for c in cols[indptr[p] : indptr[p + 1]].tolist()]
+            assert row == list(E._neighbor_keys(g, k, rule, key))
+
+
+def test_node_cap_bounds_held_rows():
+    # C(40, 3) = 9880 independent triples, one component under "tj"
+    comp = E.bfs_component(Graph.empty(40), 3, (0, 1, 2), node_cap=50)
+    assert comp.capped and comp.size == 50 and comp._csr is None
+    with pytest.raises(NodeCapExceeded):
+        comp.csr()
+    # three 5-node path components; a cap of 7 admits the first and 2 nodes
+    # of the second, which holds no rows
+    path_edges = [(u, u + 1) for base in (0, 6, 12) for u in range(base, base + 5)]
+    comps = E.enumerate_components(complement(Graph.from_edges(18, path_edges)), 2, TJ, 7)
+    assert [(c.size, c.capped) for c in comps] == [(5, False), (2, True)]
+    assert len(comps[0].csr()[0]) == 5 and comps[1]._csr is None
+    with pytest.raises(NodeCapExceeded):
+        comps[1].degrees()
