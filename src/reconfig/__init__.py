@@ -44,7 +44,6 @@ from .engine import (
 from .graph import (
     Graph,
     GraphError,
-    canonical_form,
     complement,
     independence_number,
     is_independent,

@@ -22,7 +22,6 @@ __all__ = [
     "complement",
     "is_independent",
     "independence_number",
-    "canonical_form",
     "orbit_minima",
     "pair_images",
     "edge_pairs",
@@ -297,17 +296,6 @@ def orbit_minima(images: np.ndarray, masks) -> np.ndarray:
     # 16 masks a block keep the product at 5 MB for the 8! permutations
     blocks = [(bits[lo : lo + 16] @ weights).min(axis=1) for lo in range(0, len(bits), 16)]
     return np.concatenate([np.zeros(0), *blocks]).astype(np.int64)
-
-
-def canonical_form(g: Graph) -> int:
-    """Minimum edge bitmask (see ``edge_pairs``) over all vertex permutations.
-
-    Factorial cost; intended for the small-n exhaustive search and
-    isomorphism checks on witnesses, so n is limited to 8.
-    """
-    if g.n > 8:
-        raise GraphError(f"canonical_form refused: n={g.n} exceeds limit 8")
-    return int(orbit_minima(pair_images(g.n), graph_to_mask(g))[0])
 
 
 # -- serialization ---------------------------------------------------------

@@ -1,21 +1,18 @@
 """Search over n-vertex graphs for the largest configuration-graph diameter.
 
-Exhaustive mode (n <= 8) sweeps every graph class by one-vertex extension.
-The class census of size n - 1 enumerates one representative per
-isomorphism class by orbit-marking edge bitmasks under the full
-permutation action; no external canonicalizer is involved, and the
-representative is the minimum mask of its orbit. The action is held in
-per-byte permutation tables, each filled by doubling from the
-``1 << image`` weights of the byte's pairs under every permutation, and
-the scan jumps from one representative to the next unmarked mask by an
-array search. The census marks a map of all 2**C(n, 2) masks, so it
-stops at n - 1 = 7. Each representative then gains a vertex n - 1 of
-maximum degree in every possible way; every graph has a vertex of
-maximum degree, so the candidates cover every n-vertex class, some
-classes more than once (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998). Only the candidates that reach the maximum, or
-that the node cap may cut short, are reduced to their orbit minima, and
-Burnside's lemma over the cycle types of S_n counts the classes.
+Exhaustive mode (n <= 8) sweeps every graph class by one-vertex extension,
+and the classes themselves come from the same extension, one size at a
+time; no external canonicalizer is involved. Each class of size n - 1,
+one representative per class, gains a vertex n - 1 of maximum degree in
+every possible way. Every graph has a vertex of maximum degree, so the
+candidates cover every n-vertex class, some classes more than once
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+The representative of a class is the minimum mask of its orbit under the
+full permutation action, so the classes of size n are the distinct orbit
+minima of the candidates, and the recursion starts from the one class of
+size 0 or 1. The search reduces to orbit minima only the candidates that
+reach the maximum, or that the node cap may cut short, and Burnside's
+lemma over the cycle types of S_n counts the classes.
 
 The candidate diameters come from one batched array sweep, not from an
 engine call per graph. Every n-vertex graph shares one node list, the
@@ -45,9 +42,11 @@ winner is re-verified by the engine as an independent cross-check.
 
 The tables that depend only on n or on (n, k), the candidates, the sweep
 tables and the pair images for the orbit minima, are built on first use
-and kept for the life of the process, read-only: 0.26 MB for n = 7 and
-every k, 2.6 MB for n = 8. No answer is kept: every search sweeps its
-candidates and re-verifies its winner again.
+and kept for the life of the process, read-only; the candidates and pair
+images of every smaller size stay too, since the classes are built from
+them: 0.28 MB for n = 7 and every k, 2.8 MB for n = 8. No answer is
+kept: every search sweeps its candidates and re-verifies its winner
+again.
 
 Random mode samples Erdos-Renyi graphs at several densities plus
 perturbations of the complement-of-path construction, with recorded
@@ -88,10 +87,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT = 8
-# The class census marks a map of all 2**C(n, 2) masks: 2 MB at n = 7, but
-# 256 MB at n = 8 (13 s and 429 MB peak RSS there), so the search extends
-# the census of size n - 1 instead.
-_CENSUS_LIMIT = 7
 
 # Graphs per chunk of the batched sweep. With the node-major sets, a
 # process that ran the seven exhaustive-search benchmark jobs 20 times
@@ -134,57 +129,24 @@ class SearchResult:
         }
 
 
-def _limit_error(limit: int, n: int) -> GraphError:
-    return GraphError(
-        f"exhaustive search supports n <= {limit}, got {n}; use --random T instead"
-    )
-
-
-def _perm_byte_tables(n: int) -> list[np.ndarray]:
-    """Per-byte lookup tables of the permutation action on edge masks.
-
-    ``tabs[b][v, p]`` is the image under the p-th permutation of the mask
-    whose byte b is v and whose other bytes are 0, so one orbit element is
-    the OR of one table entry per byte. The table of a byte holding w pair
-    bits has 2**w rows, filled by doubling: the rows with bit j set are
-    the rows below 2**j ORed with the ``1 << image`` weight of pair bit j.
-    """
-    images = pair_images(n)
-    tabs = []
-    for lo in range(0, images.shape[1], 8):
-        weights = np.uint32(1) << images[:, lo : lo + 8].astype(np.uint32)
-        w = weights.shape[1]
-        tab = np.zeros((1 << w, len(weights)), dtype=np.uint32)
-        for j in range(w):
-            tab[1 << j : 2 << j] = tab[: 1 << j] | weights[:, j]
-        tabs.append(tab)
-    return tabs
+def _check_n(n: int) -> None:
+    """Refuse a vertex count the exhaustive routes cannot take, before any
+    work is done."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise GraphError(
+            f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}, got {n}; "
+            "use --random T instead"
+        )
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
 
 
 def nonisomorphic_masks(n: int) -> list[int]:
     """One edge bitmask per isomorphism class of n-vertex graphs, each the
-    minimum of its orbit, ascending."""
-    if n > _CENSUS_LIMIT:
-        raise _limit_error(_CENSUS_LIMIT, n)
-    if n < 0:
-        raise GraphError("vertex count must be nonnegative")
-    if n <= 1:
-        return [0]
-    tabs = _perm_byte_tables(n)
-    unvisited = np.ones(1 << (n * (n - 1) // 2), dtype=bool)
-    reps = []
-    m = 0
-    while True:
-        reps.append(m)
-        orbit = tabs[0][m & 0xFF].copy()
-        for b in range(1, len(tabs)):
-            orbit |= tabs[b][(m >> (8 * b)) & 0xFF]
-        unvisited[orbit] = False
-        # the orbit holds m itself, so a zero step means nothing is left
-        step = int(unvisited[m:].argmax())
-        if step == 0:
-            return reps
-        m += step
+    minimum of its orbit, ascending (n <= 8): the distinct orbit minima of
+    the ``_candidates``, which extend the classes of size n - 1."""
+    _check_n(n)
+    return np.unique(orbit_minima(_pair_images(n), _candidates(n))).tolist()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -345,22 +307,19 @@ def exhaustive_search(
 ) -> SearchResult:
     """Best configuration-graph diameter over all n-vertex graphs (n <= 8).
 
-    The graphs swept are the ``_candidates``, an (n - 1)-vertex class
-    census extended by one vertex of maximum degree, in chunks of
-    ``_CHUNK``; a class may be swept more than once, which changes no
-    maximum, and ``classes_examined`` is the exact class count of
-    ``_class_count``. ``best_masks`` lists the orbit minima of the
-    candidates achieving the optimum, ascending, so uniqueness up to
-    isomorphism is checkable, and the first of them is re-verified by the
-    engine before its edges are emitted. A class with more independent
-    k-sets than ``node_cap`` runs through the engine instead, in ascending
-    orbit-minimum order, so the first such class the cap cuts short raises
-    the engine's NodeCapExceeded.
+    The graphs swept are the ``_candidates``, the classes of size n - 1
+    extended by one vertex of maximum degree, in chunks of ``_CHUNK``; a
+    class may be swept more than once, which changes no maximum, and
+    ``classes_examined`` is the exact class count of ``_class_count``.
+    ``best_masks`` lists the orbit minima of the candidates achieving the
+    optimum, ascending, so uniqueness up to isomorphism is checkable, and
+    the first of them is re-verified by the engine before its edges are
+    emitted. A class with more independent k-sets than ``node_cap`` runs
+    through the engine instead, in ascending orbit-minimum order, so the
+    first such class the cap cuts short raises the engine's
+    NodeCapExceeded.
     """
-    if n > EXHAUSTIVE_LIMIT:
-        raise _limit_error(EXHAUSTIVE_LIMIT, n)
-    if n < 0:
-        raise GraphError("vertex count must be nonnegative")
+    _check_n(n)
     engine._check_rule(rule)
     engine._check_k(k)
     masks = _candidates(n)

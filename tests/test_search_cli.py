@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_canonical_form,
     brute_component_diameters,
-    brute_perm_byte_tables,
     census_exhaustive_search,
+    census_masks,
 )
 import reconfig
 from reconfig import cli
@@ -23,7 +24,7 @@ from reconfig import engine as E
 from reconfig import search as S
 from reconfig.constructions import complement_path
 from reconfig.engine import TJ, TS, NodeCapExceeded
-from reconfig.graph import Graph, GraphError, canonical_form, orbit_minima, pair_images, write_graph
+from reconfig.graph import Graph, GraphError, orbit_minima, pair_images, write_graph
 
 
 def test_nonisomorphic_class_counts():
@@ -40,19 +41,6 @@ def test_reps_are_canonical_minima():
         assert S.graph_to_mask(g) == rep
 
 
-def test_perm_byte_tables_match_brute_oracle():
-    # a byte with w < 8 pair bits gets 2**w rows: values with higher bits
-    # set are not edge masks
-    for n in range(2, 8):
-        want, nbits, nbytes = brute_perm_byte_tables(n)
-        got = S._perm_byte_tables(n)
-        assert len(got) == nbytes
-        for b, tab in enumerate(got):
-            rows = 1 << min(8, nbits - 8 * b)
-            assert tab.dtype == np.uint32 and tab.shape == (rows, len(want))
-            assert np.array_equal(tab.T, want[:, b, :rows])
-
-
 def test_every_rep_is_its_orbit_minimum():
     census = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, count in census.items():
@@ -67,9 +55,9 @@ def test_every_rep_is_its_orbit_minimum():
 def test_exhaustive_limit():
     with pytest.raises(
         GraphError,
-        match=r"exhaustive search supports n <= 7, got 8; use --random T instead",
+        match=r"exhaustive search supports n <= 8, got 9; use --random T instead",
     ):
-        S.nonisomorphic_masks(8)
+        S.nonisomorphic_masks(9)
 
 
 def test_exhaustive_n5_k2(exhaustive_k2):
@@ -77,7 +65,7 @@ def test_exhaustive_n5_k2(exhaustive_k2):
     assert res.best_diameter == 3 and res.exhaustive
     assert res.classes_examined == 34
     cp, _ = complement_path(5)
-    assert canonical_form(cp) in res.best_masks
+    assert brute_canonical_form(cp) in res.best_masks
     assert res.witness_edges is not None
 
 
@@ -153,15 +141,16 @@ def test_sweep_matches_engine_past_one_word():
 
 
 def test_candidates_cover_every_class():
+    # the classes listed by one-vertex extension against the reference
+    # census, which marks every orbit in a map of all masks
     for n in range(8):
-        minima = orbit_minima(pair_images(n), S._candidates(n))
-        assert np.unique(minima).tolist() == S.nonisomorphic_masks(n), n
+        assert S.nonisomorphic_masks(n) == list(census_masks(n)), n
 
 
 def test_class_count_matches_census():
     for n in range(8):
         assert S._class_count(n) == len(S.nonisomorphic_masks(n)), n
-    assert S._class_count(8) == 12346
+    assert len(S.nonisomorphic_masks(8)) == S._class_count(8) == 12346
 
 
 def _json_or_refusal(run):
@@ -264,11 +253,15 @@ def test_exhaustive_search_refuses_n9_first(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the refusal")
 
-    monkeypatch.setattr(S, "nonisomorphic_masks", no_work)
-    monkeypatch.setattr(S, "_sweep_tables", no_work)
-    with pytest.raises(GraphError) as exc:
-        S.exhaustive_search(9, 2)
-    assert str(exc.value) == "exhaustive search supports n <= 8, got 9; use --random T instead"
+    for name in ("_candidates", "_pair_images", "_sweep_tables"):
+        monkeypatch.setattr(S, name, no_work)
+    for search in (S.nonisomorphic_masks, lambda n: S.exhaustive_search(n, 2)):
+        with pytest.raises(GraphError) as exc:
+            search(9)
+        assert str(exc.value) == "exhaustive search supports n <= 8, got 9; use --random T instead"
+        with pytest.raises(GraphError) as exc:
+            search(-1)
+        assert str(exc.value) == "vertex count must be nonnegative"
 
 
 def test_search_memos_are_read_only():
