@@ -311,13 +311,21 @@ def write_edge_list(g: Graph) -> str:
     return "".join(lines)
 
 
-# Besides " " and "\n", the ASCII characters that str.split() treats as
-# whitespace, and those that str.splitlines() treats as line boundaries. The
-# reader maps them to " " and "\n", so its tokeniser sees two separators.
-_SPACES = b"\t\x1f"
-_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
-_SEPARATORS = bytes.maketrans(_SPACES + _BREAKS, b" " * len(_SPACES) + b"\n" * len(_BREAKS))
-_LINE_BOUNDARY = re.compile(b"[\n" + _BREAKS + b"]")
+# The ASCII characters that str.split() treats as whitespace but
+# str.splitlines() does not break at, and those it breaks at. The reader
+# maps every byte to its kind: a space, a line boundary, a digit, a sign or
+# any other byte. A token is a run of bytes of the last three kinds, whose
+# codes share their two low bits, so that `kind & 3` tells the three kinds
+# of run apart.
+_SPACES = b" \t\x1f"
+_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"
+_SPACE, _BREAK, _DIGIT, _SIGN, _OTHER = 0, 1, 2, 6, 10
+_KINDS = bytes(
+    _SPACE if c in _SPACES else _BREAK if c in _BREAKS else _DIGIT if 48 <= c <= 57
+    else _SIGN if c in b"+-" else _OTHER
+    for c in range(256)
+)
+_LINE_BOUNDARY = re.compile(b"[" + _BREAKS + b"]")
 # The grammar of a count or vertex id: that of int() less its underscores.
 _INT_TOKEN = re.compile(rb"[+-]?[0-9]+")
 # The edge-list reader works through slices of at least this many bytes, each
@@ -327,8 +335,9 @@ _SLICE_BYTES = 1 << 16
 # holds at a time.
 _ROW_BLOCK_BYTES = 1 << 22
 _PAIR_CHUNK = 1 << 14
-# Largest vertex count an edge-list header may claim: building the rows
-# clears n * ceil(n/8) bytes, whatever the edge count.
+# Largest vertex count an edge-list header may claim: whatever the edge
+# count, building the rows takes a Python int and a few array entries for
+# every vertex.
 MAX_EDGE_LIST_N = 1 << 17
 
 
@@ -355,34 +364,47 @@ def _read_edge_list(data: bytes) -> Graph:
     of range or a loop, after a warning for every repeat before it. Vectorised
     checks find each; only the line a message quotes is looked up.
     """
+    raw = np.frombuffer(data, dtype=np.uint8)
     head = None  # (n, m)
     lines = 0  # non-blank lines after the header
     malformed = None  # the first malformed edge line
     bad = None  # (pair, endpoints) of the first pair out of range or a loop
     pairs = 0  # pairs read into u and v
     for lo, hi in _line_slices(data):
-        buf = np.frombuffer(data[lo:hi].translate(_SEPARATORS), dtype=np.uint8)
-        starts, ends = _token_bounds(buf)
-        if not len(starts):
+        mapped = data[lo:hi].translate(_KINDS)
+        kind = np.frombuffer(mapped, dtype=np.uint8)
+        # 0 for a space, 1 for a line boundary, 2 for a token byte
+        solid = kind & 3
+        inside = solid == _DIGIT
+        flips = np.empty(len(kind) + 1, dtype=bool)
+        flips[0], flips[-1] = inside[0], inside[-1]
+        np.not_equal(inside[1:], inside[:-1], out=flips[1:-1])
+        bounds = np.flatnonzero(flips)
+        if not len(bounds):
             continue
-        newlines = np.flatnonzero(buf == 10)
-        # the physical lines with tokens, and their token counts
-        per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
-        filled = np.flatnonzero(per_line)
-        counts = per_line[filled]
+        starts, ends = bounds[0::2], bounds[1::2]
+        # a token opens a line when a line boundary lies between it and the
+        # token before: the byte before it is one, or the gap holds a space
+        # next to a boundary, two bytes whose kinds sum to 1; a slice starts
+        # a line
+        lead = solid[starts - 1] == _BREAK
+        mixed = np.searchsorted(starts, np.flatnonzero(solid[1:] + solid[:-1] == _BREAK))
+        lead[mixed[mixed < len(lead)]] = True
+        lead[0] = True
 
-        def line(at: int) -> str:  # line `at` of this slice, as splitlines() gives it
-            first = lo + int(newlines[at - 1]) + 1 if at else lo
-            return data[first : lo + int(newlines[at]) if at < len(newlines) else hi].decode()
+        def line(t: int) -> str:  # the line of token t, as splitlines() gives it
+            first = mapped.rfind(_BREAK, 0, starts[t]) + 1
+            last = mapped.find(_BREAK, starts[t])
+            return data[lo + first : lo + last if last >= 0 else hi].decode()
 
         def token(t: int) -> bytes:
             return data[lo + starts[t] : lo + ends[t]]
 
         if head is None:
-            if counts[0] != 2:
-                raise GraphError(f"malformed header {line(filled[0])!r}: expected 'n m'")
+            if len(starts) < 2 or lead[1] or (len(starts) > 2 and not lead[2]):
+                raise GraphError(f"malformed header {line(0)!r}: expected 'n m'")
             if not (_INT_TOKEN.fullmatch(token(0)) and _INT_TOKEN.fullmatch(token(1))):
-                raise GraphError(f"malformed header {line(filled[0])!r}: expected integers")
+                raise GraphError(f"malformed header {line(0)!r}: expected integers")
             head = n, m = int(token(0)), int(token(1))
             if n < 0 or m < 0:
                 raise GraphError("negative n or m in header")
@@ -391,34 +413,31 @@ def _read_edge_list(data: bytes) -> Graph:
             # an edge line takes three bytes and a line boundary at least
             u = np.empty(min(m, (len(data) - hi + 1) // 4 + len(starts)), dtype=np.int64)
             v = np.empty_like(u)
-            starts, ends, filled, counts = starts[2:], ends[2:], filled[1:], counts[1:]
-        lines += len(filled)
+            starts, ends, lead = starts[2:], ends[2:], lead[2:]
+        lines += np.count_nonzero(lead)
         if malformed is not None or not len(starts):
             continue
-        # two tokens on every line, each an optional sign and then digits
-        signed = (buf[starts] == 43) | (buf[starts] == 45)
-        odd = np.flatnonzero((buf - 48 > 9) & (buf != 32) & (buf != 10))
-        odd = odd[odd >= starts[0]]
-        holder = np.searchsorted(starts, odd, side="right") - 1
-        misfits = np.concatenate((
-            holder[(starts[holder] != odd) | ~signed[holder]],
-            np.flatnonzero(signed & (ends - starts == 1)),
-        ))
-        wrong = filled[counts != 2]
-        if len(wrong) or len(misfits):
-            malformed = line(np.concatenate((wrong, np.searchsorted(newlines, starts[misfits]))).min())
+        # two tokens on every line, each an optional sign and then digits: a
+        # byte other than a digit must be the sign that opens a longer token
+        odd = np.flatnonzero(kind[starts[0] :] > _DIGIT) + starts[0]
+        signed = np.searchsorted(starts, odd, side="right") - 1
+        misfits = signed[(kind[odd] != _SIGN) | (starts[signed] != odd) | (ends[signed] == odd + 1)]
+        if len(starts) % 2 or not lead[0::2].all() or lead[1::2].any() or len(misfits):
+            opens = np.flatnonzero(lead)
+            wrong = opens[np.diff(opens, append=len(starts)) != 2]
+            malformed = line(np.concatenate((wrong, misfits)).min())
             continue
         if bad is not None:
             continue
-        got = _token_values(buf, starts, ends, signed)
-        a, b = got[0::2], got[1::2]
-        off = (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)
+        got = _token_values(raw[lo:hi], starts, ends, signed)
+        off = got.view(np.uint64) >= n  # negative values too, read without sign
+        off = off[0::2] | off[1::2] | (got[0::2] == got[1::2])
         if off.any():
             at = int(off.argmax())
             bad = pairs + at, int(token(2 * at)), int(token(2 * at + 1))
-        if pairs + len(a) <= len(u):  # more pairs than the header claims fail below
-            u[pairs : pairs + len(a)], v[pairs : pairs + len(b)] = a, b
-        pairs += len(a)
+        if pairs + len(off) <= len(u):  # more pairs than the header claims fail below
+            u[pairs : pairs + len(off)], v[pairs : pairs + len(off)] = got[0::2], got[1::2]
+        pairs += len(off)
     if head is None:
         raise GraphError("empty edge-list input")
     n, m = head
@@ -446,42 +465,36 @@ def _line_slices(data: bytes) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _token_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of the runs of bytes other than " " and "\n"."""
-    solid = (buf != 32) & (buf != 10)
-    flips = np.flatnonzero(solid[1:] != solid[:-1])
-    flips += 1
-    if solid[0]:
-        flips = np.concatenate(([0], flips))
-    if len(flips) % 2:
-        flips = np.append(flips, len(buf))
-    return flips[0::2], flips[1::2]
-
-
 def _token_values(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, signed: np.ndarray) -> np.ndarray:
-    """int64 values of well-formed tokens of buf; -1 for a value beyond
-    int64, which no vertex id can reach."""
-    first = starts + signed
-    digits = ends - first
+    """int64 values of the well-formed tokens of buf, of which those at the
+    indices ``signed`` have a sign; -1 for a value beyond int64, which no
+    vertex id can reach."""
+    digits = ends - starts
+    digits[signed] -= 1
     values = np.zeros(len(starts), dtype=np.int64)
-    for d in range(min(int(digits.max()), 18)):  # one digit of every token at a time
-        live = np.flatnonzero(digits > d)
-        values[live] = values[live] * 10 + (buf[first[live] + d] - 48)
-    values[buf[starts] == 45] *= -1
+    at = ends.copy()
+    for d in range(min(int(digits.max()), 18)):  # the digit d places left of every token's end
+        at -= 1
+        column = buf.take(at) - np.uint8(48)
+        column *= digits > d
+        values += column * np.int64(10**d)
+    values[signed[buf[starts[signed]] == 45]] *= -1
     for t in np.flatnonzero(digits > 18):
         value = int(buf[starts[t] : ends[t]].tobytes())
         values[t] = value if abs(value) < 2**63 else -1
     return values
 
 
-def _warn_repeats(n: int, u: np.ndarray, v: np.ndarray) -> None:
-    """Warn, in input order, of every pair that repeats an earlier one."""
+def _warn_repeats(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Warn, in input order, of every pair that repeats an earlier one;
+    return the indices of the repeats."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = lo * n + hi
     order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    for i in np.sort(repeats):
+    repeats = np.sort(order[1:][keys[order[1:]] == keys[order[:-1]]])
+    for i in repeats:
         warnings.warn(f"duplicate edge {int(lo[i]), int(hi[i])} ignored", stacklevel=2)
+    return repeats
 
 
 def _rows_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -490,7 +503,7 @@ def _rows_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     The pairs must be in range and loop-free. A pair that repeats an earlier
     one, in either orientation, is kept once and warned of. Rows are packed
     little-endian into a buffer of _ROW_BLOCK_BYTES, a block of rows at a
-    time, and each block ORs in its entries from _PAIR_CHUNK pairs at a time,
+    time, and each block adds in its bits from _PAIR_CHUNK pairs at a time,
     so the packing needs no temporary that grows like n² or with the number
     of pairs; only the repeat warnings sort all the pairs.
     """
@@ -502,26 +515,32 @@ def _rows_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     for k in range(0, len(u), _PAIR_CHUNK):
         a, b = u[k : k + _PAIR_CHUNK], v[k : k + _PAIR_CHUNK]
         chunks.append((a, b, int(min(a.min(), b.min())), int(max(a.max(), b.max()))))
-    block = np.empty(min(span, n) * width, dtype=np.uint8)
+    block = np.zeros(min(span, n) * width, dtype=np.uint8)
     view = memoryview(block)
     for first in range(0, n, span):
         count = min(span, n - first)
-        block.fill(0)
         # each row is read from its lowest to its highest nonzero byte, which
         # spares scanning the zero bytes of wide sparse rows
         low = np.full(count, width, dtype=np.int64)
         high = np.zeros(count, dtype=np.int64)
+        written = []  # the bytes to clear for the block of rows after this
         for a, b, least, most in chunks:
             if most < first or least >= first + count:
                 continue
             for row, col in ((a, b), (b, a)):
-                held = (row >= first) & (row < first + count)
-                row, col = row[held] - first, col[held]
+                if least < first or most >= first + count:  # rows of other blocks too
+                    held = (row >= first) & (row < first + count)
+                    row, col = row[held], col[held]
+                row = row - first
                 byte = col >> 3
                 np.minimum.at(low, row, byte)
                 np.maximum.at(high, row, byte + 1)
-                bit = np.left_shift(np.uint8(1), (col & 7).astype(np.uint8))
-                np.bitwise_or.at(block, row * width + byte, bit)
+                # adding a bit sets it while no pair repeats, and a repeat
+                # shows in the bit count below
+                at = row * width + byte
+                np.add.at(block, at, np.left_shift(np.uint8(1), (col & 7).astype(np.uint8)))
+                if first + count < n:
+                    written.append(at)
         low = np.minimum(low, high)
         base = np.arange(count) * width
         spans = [
@@ -530,8 +549,13 @@ def _rows_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
         ]
         bits += sum(map(int.bit_count, spans))
         rows.extend(map(operator.lshift, spans, (8 * low).tolist()))
+        for at in written:
+            block[at] = 0
     if bits != 2 * len(u):
-        _warn_repeats(n, u, v)
+        # a repeat added a bit twice: pack the rows again without the repeats
+        keep = np.ones(len(u), dtype=bool)
+        keep[_warn_repeats(n, u, v)] = False
+        return _rows_from_pairs(n, u[keep], v[keep])
     return Graph(n, rows, _trusted=True)
 
 
@@ -591,6 +615,8 @@ def parse_graph6(text: str) -> Graph:
 def read_graph(path: str, fmt: str = "edge-list") -> Graph:
     """Read a graph file in ``fmt`` ("edge-list" or "graph6"); the file must
     be ASCII."""
+    if fmt not in ("edge-list", "graph6"):
+        raise GraphError(f"unknown format {fmt!r}")
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
@@ -598,9 +624,7 @@ def read_graph(path: str, fmt: str = "edge-list") -> Graph:
         raise GraphError(f"{path}: non-ASCII byte 0x{data[at]:02x} at byte offset {at}")
     if fmt == "edge-list":
         return _read_edge_list(data)
-    if fmt == "graph6":
-        return parse_graph6(data.decode("ascii"))
-    raise GraphError(f"unknown format {fmt!r}")
+    return parse_graph6(data.decode("ascii"))
 
 
 def write_graph(g: Graph, path: str) -> None:

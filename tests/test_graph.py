@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -254,6 +255,24 @@ def test_parse_edge_list_large_inputs_match_oracle():
     assert got.adj[0] == 2 and got.adj[n - 1] == 1 << (n - 2)
 
 
+def test_parse_edge_list_temporaries_bounded():
+    # slices, row blocks and pair chunks keep what the reader allocates
+    # beyond the graph it returns small, on a dense file and on a long one
+    # (about 6 MiB each)
+    g, _ = complement_path(600)
+    n = 65536
+    path = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    for text in (write_edge_list(g), path):
+        tracemalloc.start()
+        try:
+            got = parse_edge_list(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.n in (600, n)
+        assert peak - retained < 16 << 20
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -273,8 +292,9 @@ def test_parse_edge_list_narrower_than_int(text, message):
 
 
 def test_edge_list_header_bound():
-    # the rows are cleared n * ceil(n/8) bytes at a time whatever the edge
-    # count, so a header past the bound is refused before any of that
+    # the rows take a Python int and a few array entries for every vertex
+    # whatever the edge count, so a header past the bound is refused before
+    # any of that
     n = graph_module.MAX_EDGE_LIST_N
     g = parse_edge_list(f"{n} 1\n5 {n - 1}\n")
     assert g.n == n and g.adj[5] == 1 << (n - 1)
@@ -416,5 +436,11 @@ def test_graph6_header_prefix_and_limits():
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "g.edges"
     write_graph(Graph.empty(2), str(path))
+    with pytest.raises(GraphError, match="unknown format 'dot'"):
+        read_graph(str(path), fmt="dot")
+    # the format is refused before the file is opened or scanned
+    with pytest.raises(GraphError, match="unknown format 'dot'"):
+        read_graph(str(tmp_path / "missing.edges"), fmt="dot")
+    path.write_bytes(b"2 0\n\xff\n")
     with pytest.raises(GraphError, match="unknown format 'dot'"):
         read_graph(str(path), fmt="dot")
