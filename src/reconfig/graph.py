@@ -385,10 +385,9 @@ def _read_edge_list(data: bytes) -> Graph:
         starts, ends = bounds[0::2], bounds[1::2]
         # a token opens a line when a line boundary lies between it and the
         # token before: the byte before it is one, or the gap holds a space
-        # next to a boundary, two bytes whose kinds sum to 1; a slice starts
-        # a line
+        # next to a boundary; a slice starts a line
         lead = solid[starts - 1] == _BREAK
-        mixed = np.searchsorted(starts, np.flatnonzero(solid[1:] + solid[:-1] == _BREAK))
+        mixed = np.searchsorted(starts, np.flatnonzero(solid[1:] + solid[:-1] == _SPACE + _BREAK))
         lead[mixed[mixed < len(lead)]] = True
         lead[0] = True
 
