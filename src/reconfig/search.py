@@ -20,17 +20,21 @@ k-subsets of ``range(n)`` in key order, and one table of one-token moves
 between subsets that differ in one vertex; the graph's edge mask only
 switches them on. A subset is a node of the graph when no pair inside it
 is an edge, and a move is an edge of its configuration graph when both
-ends are nodes (under "ts" also the moved pair must be an edge). For a
-chunk of at most ``_CHUNK`` = 256 graphs the sweep holds every node's
-reach set, bit-packed, and grows all of them by one BFS layer per round,
-all graphs at once (multi-source BFS as in ``engine``'s rounds, after Then
-et al., VLDB 2014). The sets are laid out node-major, the graphs of the
-chunk innermost, so a round gathers, for each of the k(n - k) moves, whole
-contiguous rows of the neighbours' sets into one reused buffer. After
-round r a reach set holds every node within distance r, so a graph's
-largest component diameter is the last round in which one of its sets
-grew; a graph with no independent k-set has none. The same pass counts
-each graph's independent k-sets.
+ends are nodes (under "ts" also the moved pair must be an edge). The
+sweep holds every node's reach set in every graph and grows all of them
+by one BFS layer per round, all graphs at once (multi-source BFS as in
+``engine``'s rounds, after Then et al., VLDB 2014). The sets are
+bit-sliced by graph: a uint64 word holds one (node, node) entry of 64
+graphs, where packing a set by node would leave most of each word empty
+below 64 nodes (21 of its bits at n = 7, k = 2). A round gathers, for
+each of the k(n - k) moves, whole contiguous rows of the neighbours' sets
+into one reused buffer. The candidates go in chunks of as many words as
+keep one reach array within ``_SWEEP_BYTES``, and once at most half of a
+chunk's words still grow, the words whose 64 graphs have all stopped are
+dropped. After round r a reach set holds every node within distance r,
+so a graph's largest component diameter is the last round in which one
+of its sets grew; a graph with no independent k-set has none. The same
+pass counts each graph's independent k-sets.
 
 A class can only be cut short by the node cap when it has more independent
 k-sets than the cap (the engine's budget rule caps a component of s nodes
@@ -88,15 +92,13 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT = 8
 
-# Graphs per chunk of the batched sweep. With the node-major sets, a
-# process that ran the seven exhaustive-search benchmark jobs 20 times
-# (Python 3.11, numpy 2.4, 2 shared CPUs) peaked at 34.97-35.15 MB RSS
-# with 256 graphs and at 35.43-35.61 MB with 1,024 (the class-major sets
-# at 256: 35.07-35.13 MB); its wall times, 1.3-2.6 s a run, did not tell
-# the two apart. Alone, the sweep of the n = 8, k = 4 candidates took
-# 0.13-0.14 s with 256 and 0.22-0.25 s with 1,024, whose sets outgrow the
-# cache.
-_CHUNK = 256
+# Bytes of one reach array of the batched sweep, which sets how many
+# 64-graph words a chunk takes: 83 at C(8, 2) = 28 nodes, 20 at C(8, 3) =
+# 56 and 13 at C(8, 4) = 70. Sweeping every candidate of the n = 8 cells
+# in one process (two runs; Python 3.11, numpy 2.4, 2 shared CPUs),
+# 256 KiB read within 8% of 512 KiB, 1 MiB was 11-28% slower and 128 KiB
+# 7-66% slower.
+_SWEEP_BYTES = 1 << 19
 
 
 @dataclass
@@ -189,6 +191,12 @@ def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The last axis of ``bits``, a multiple of 64 long, packed into uint64
+    words: bit c of word w is entry 64 w + c."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+
 def _sweep(
     masks: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray], rule: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,31 +204,59 @@ def _sweep(
     class with no independent k-set, and its number of independent k-sets,
     by batched reach rounds over the ``_sweep_tables``.
 
-    The reach sets are node-major: ``reach[i, w, c]`` is word w of the set
-    of nodes within the current radius of node i in class c, packed 64
-    nodes to a uint64 word, so the classes of the chunk are innermost and
-    node i's sets fill one contiguous row. A round takes, move by move,
-    the rows of every node's t-th neighbour into one reused buffer (under
-    "ts" masked by the moved pair's edge bit) and ORs them in. The set of
-    a subset that is no node stays empty, so a move is masked only at its
-    start, once per round: the empty sets it gathers add nothing.
+    The masks are swept in chunks of 64-graph words, as many as keep one
+    reach array of the chunk within ``_SWEEP_BYTES`` (at least one word),
+    and every temporary is built per chunk by ``_sweep_chunk``.
+    """
+    n = len(tables[0])
+    step = 64 * max(1, _SWEEP_BYTES // (8 * max(n, 1) ** 2))
+    diameter = np.empty(len(masks), dtype=np.int64)
+    nodes = np.empty(len(masks), dtype=np.int64)
+    for lo in range(0, len(masks), step):
+        part = slice(lo, lo + step)
+        diameter[part], nodes[part] = _sweep_chunk(masks[part], tables, rule)
+    return diameter, nodes
+
+
+def _sweep_chunk(
+    masks: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray], rule: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_sweep`` of one chunk, its reach sets bit-sliced by graph.
+
+    Bit c of ``reach[i, w, j]`` says that node j is within the current
+    radius of node i in graph 64 w + c of the chunk; ``keep[i, w]`` holds,
+    packed the same way, the graphs in which subset i is a node, and under
+    "ts" ``slide[t, i, w]`` those in which node i's t-th move runs along an
+    edge. Bits past the last graph stay clear in ``keep``, so they never
+    grow. A round takes, move by move, the neighbours' rows into one reused
+    buffer, masks them by ``slide`` under "ts" and ORs them in. The set of
+    a subset that is no node is cleared once per round by ``keep``, so the
+    empty sets it gathers add nothing. A graph grew in a round when its bit
+    is set anywhere in ``grown ^ reach``. Once at most half of the words
+    still grow, the words whose 64 graphs have all stopped are dropped.
+
+    The words sit between the two node axes so that ``keep`` and ``slide``,
+    one word per row and graph word, broadcast along the last axis, the n
+    target nodes: on the n = 8, k = 3 and 4 cells that read 7-16% faster
+    than words last, where numpy's inner loops are only the chunk's words
+    long, and 4-8% slower on k = 2.
     """
     inner, nbr, pair = tables
     n = len(inner)
+    pad = ((0, 0), (0, -len(masks) % 64))
     indep = masks & inner[:, None] == 0
-    ones = ~np.uint64(0)
-    keep = np.where(indep, ones, np.uint64(0))[:, None, :]
+    nodes = indep.sum(axis=0)
+    keep = _pack(np.pad(indep, pad))[:, :, None]
     slide = None
     if rule == TS:
         edge = masks >> np.arange(pair.max(initial=0) + 1)[:, None] & 1 == 1
-        slide = np.where(edge[pair.T], ones, np.uint64(0))[:, :, None, :]
+        slide = _pack(np.pad(edge, pad))[pair.T][..., None]
     node = np.arange(n)
-    unit = np.zeros((n, -(-n // 64), 1), dtype=np.uint64)
-    unit[node, node // 64, 0] = np.uint64(1) << (node % 64).astype(np.uint64)
-    reach = unit & keep
+    reach = np.zeros((n, keep.shape[1], n), dtype=np.uint64)
+    reach[node, :, node] = keep[..., 0]
     grown, buf = np.empty_like(reach), np.empty_like(reach)
-    nodes = indep.sum(axis=0)
-    diameter = np.where(nodes > 0, 0, -1)
+    diameter = np.pad(np.where(nodes > 0, 0, -1), pad[1]).reshape(-1, 64)
+    live = np.arange(len(diameter))
     rounds = 0
     while True:
         rounds += 1
@@ -232,10 +268,19 @@ def _sweep(
                 buf &= slide[t]
             grown |= buf
         grown &= keep
-        changed = (grown != reach).any(axis=(0, 1))
-        if not changed.any():
-            return diameter, nodes
-        diameter[changed] = rounds
+        reach ^= grown
+        changed = np.bitwise_or.reduce(reach, axis=(0, 2))
+        grows = changed != 0
+        if not grows.any():
+            return diameter.reshape(-1)[: len(masks)], nodes
+        bits = np.unpackbits(changed.astype("<u8").view(np.uint8), bitorder="little")
+        bits = bits.reshape(-1, 64)
+        diameter[live] = np.where(bits == 1, rounds, diameter[live])
+        if 2 * np.count_nonzero(grows) <= len(live):
+            live, keep, grown = live[grows], keep[:, grows], grown[:, grows]
+            if slide is not None:
+                slide = slide[:, :, grows]
+            reach, buf = np.empty_like(grown), np.empty_like(grown)
         reach, grown = grown, reach
 
 
@@ -308,7 +353,7 @@ def exhaustive_search(
     """Best configuration-graph diameter over all n-vertex graphs (n <= 8).
 
     The graphs swept are the ``_candidates``, the classes of size n - 1
-    extended by one vertex of maximum degree, in chunks of ``_CHUNK``; a
+    extended by one vertex of maximum degree, all in one ``_sweep``; a
     class may be swept more than once, which changes no maximum, and
     ``classes_examined`` is the exact class count of ``_class_count``.
     ``best_masks`` lists the orbit minima of the candidates achieving the
@@ -324,9 +369,7 @@ def exhaustive_search(
     engine._check_k(k)
     masks = _candidates(n)
     tables = _sweep_tables(n, k)
-    starts = range(0, len(masks), _CHUNK)
-    swept = [_sweep(masks[lo : lo + _CHUNK], tables, rule) for lo in starts]
-    diameter, nodes = map(np.concatenate, zip(*swept))
+    diameter, nodes = _sweep(masks, tables, rule)
     images = _pair_images(n)
     over = np.flatnonzero(nodes > max(node_cap, 0))
     if len(over):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -98,7 +99,7 @@ def test_exhaustive_n6_k3_regression():
 
 
 def _check_sweep(n, k, rule, masks):
-    """The sweep, run on ``masks`` as one chunk, gives each class the
+    """The sweep, run on ``masks``, gives each class the
     engine's largest component diameter and its number of independent
     k-sets."""
     tables = S._sweep_tables(n, k)
@@ -133,11 +134,39 @@ def test_sweep_matches_engine_on_every_5_vertex_class():
 
 
 def test_sweep_matches_engine_past_one_word():
-    # C(8, 4) = 70 nodes take two 64-bit words per reach set
+    # 63, 64, 65 and 129 graphs end a word short, on its end, one past it
+    # and one past two words: the bits past the last graph never grow
     rng = np.random.default_rng(5)
+    for count in (63, 64, 65, 129):
+        masks = [0, (1 << 21) - 1, *rng.integers(0, 1 << 21, size=count - 2).tolist()]
+        for k in (2, 3):
+            for rule in (TJ, TS):
+                _check_sweep(7, k, rule, masks)
+    # C(8, 4) = 70 nodes, more than the 64 graphs of a word
     masks = [0, (1 << 28) - 1, *rng.integers(0, 1 << 28, size=6).tolist()]
     for rule in (TJ, TS):
         _check_sweep(8, 4, rule, masks)
+
+
+def test_sweep_drops_converged_words(monkeypatch):
+    # word w of a chunk grows in round r while r <= the largest diameter
+    # of its 64 graphs; in one chunk of all 6 words of the n = 6
+    # candidates, or in chunks of 2, some round leaves at most half of
+    # the words growing, so the stopped ones are dropped from the arrays
+    masks = S._candidates(6).tolist()
+    for k in (2, 3):
+        word = 8 * math.comb(6, k) ** 2
+        for rule in (TJ, TS):
+            swept, _ = S._sweep(np.array(masks), S._sweep_tables(6, k), rule)
+            last = np.pad(swept, (0, -len(swept) % 64), constant_values=-1)
+            last = last.reshape(-1, 64).max(axis=1)
+            for words in (2, len(last)):
+                monkeypatch.setattr(S, "_SWEEP_BYTES", words * word)
+                chunks = np.split(last, range(words, len(last), words))
+                assert any(
+                    0 < np.sum(c >= r) <= len(c) // 2 for c in chunks for r in range(1, c.max() + 1)
+                ), (k, rule, words)
+                _check_sweep(6, k, rule, masks)
 
 
 def test_candidates_cover_every_class():
@@ -193,17 +222,20 @@ def test_exhaustive_n8(k, rule, best, classes):
 
 
 def test_exhaustive_search_independent_of_chunk_size(monkeypatch):
-    # chunks of 5 mix classes without an independent k-set (-1) with the
-    # rest; the last size puts every candidate into one chunk
+    # chunks of one word (64 graphs) mix classes without an independent
+    # k-set (-1) with the rest; the budgets give chunks of 1 word, 2 words
+    # and every candidate
     tables = S._sweep_tables(6, 3)
     swept, _ = S._sweep(S._candidates(6), tables, TJ)
-    assert any(-1 in c and c.max() >= 0 for c in np.split(swept, range(5, len(swept), 5)))
+    assert any(-1 in c and c.max() >= 0 for c in np.split(swept, range(64, len(swept), 64)))
     for n in range(7):
+        words = -(-len(S._candidates(n)) // 64)
         for k in (1, 2, 3):
+            word = 8 * max(math.comb(n, k), 1) ** 2
             for rule in (TJ, TS):
                 outs = []
-                for chunk in (1, 5, len(S._candidates(n)) + 1):
-                    monkeypatch.setattr(S, "_CHUNK", chunk)
+                for budget in (word, 2 * word, words * word):
+                    monkeypatch.setattr(S, "_SWEEP_BYTES", budget)
                     outs.append(json.dumps(S.exhaustive_search(n, k, rule).to_json()))
                 assert outs[0] == outs[1] == outs[2], (n, k, rule)
 
@@ -301,8 +333,7 @@ def test_exhaustive_search_memoises_no_answer(monkeypatch):
     monkeypatch.setattr(S, "_class_diameter", count("verify", class_diameter))
     first = S.exhaustive_search(6, 2).to_json()
     assert S.exhaustive_search(6, 2).to_json() == first
-    chunks = -(-len(S._candidates(6)) // S._CHUNK)
-    assert calls == {"sweep": 2 * chunks, "verify": 2}
+    assert calls == {"sweep": 2, "verify": 2}
 
 
 def test_random_search_refuses_at_cap():
