@@ -3,10 +3,10 @@
 For each (n, k, rule) cell one ``_sweep`` call takes every candidate of
 ``search._candidates(n)``, in the chunks that ``search._SWEEP_BYTES`` sets;
 each of 5 repeats times that pass, and the script prints, as one JSON line,
-the byte budget and the median and the spread of the
-repeats per cell. The cells are those of ``test_exhaustive_n8`` and the
-three n = 7 cells of the benchmark. It times the ``reconfig`` package on
-the import path, so two checkouts can be timed one after the other:
+the byte budget and, per cell, the median and the spread of the repeats.
+The cells are those of ``test_exhaustive_n8`` and the three n = 7 cells of
+the benchmark. It times the ``reconfig`` package on the import path, so
+two checkouts can be timed one after the other:
 
     PYTHONPATH=src python3 tools/time_sweep.py
     PYTHONPATH=/path/to/other/checkout/src python3 tools/time_sweep.py
