@@ -250,10 +250,8 @@ def _sweep_chunk(
     keep = _pack(np.pad(indep, pad))[:, :, None]
     slide = None
     if rule == TS:
-        # edge[b, g] is bit b of mask g, one byte each: shifting the masks
-        # bit by bit made two int64 temporaries as large as the pairs times
-        # the graphs, which raised the peak RSS of the benchmark's searches
-        # by 1.1 MB
+        # edge[b, g] is bit b of mask g, unpacked from the masks' bytes so
+        # that the temporaries take one byte, not eight, per pair and graph
         edge = masks.astype("<u8").view(np.uint8).reshape(-1, 8).T
         edge = np.unpackbits(edge, axis=0, bitorder="little")[: pair.max(initial=0) + 1]
         slide = _pack(np.pad(edge, pad))[pair.T][..., None]

@@ -99,9 +99,8 @@ def test_exhaustive_n6_k3_regression():
 
 
 def _check_sweep(n, k, rule, masks):
-    """The sweep, run on ``masks``, gives each class the
-    engine's largest component diameter and its number of independent
-    k-sets."""
+    """The sweep, run on ``masks``, gives each class the engine's largest
+    component diameter and its number of independent k-sets."""
     tables = S._sweep_tables(n, k)
     swept, nodes = S._sweep(np.array(masks, dtype=np.int64), tables, rule)
     want, want_nodes = [], []
