@@ -3,10 +3,12 @@
 Exhaustive mode (n <= 8) sweeps every graph class by one-vertex extension,
 and the classes themselves come from the same extension, one size at a
 time; no external canonicalizer is involved. Each class of size n - 1,
-one representative per class, gains a vertex n - 1 of maximum degree in
-every possible way. Every graph has a vertex of maximum degree, so the
-candidates cover every n-vertex class, some classes more than once
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+one representative per class, gains a vertex n - 1 under the two rules of
+canonical augmentation (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998): its neighbourhood is the smallest of its orbit under
+the class's automorphisms, and it has the largest (degree, sum of
+neighbour degrees) of all vertices. The candidates cover every n-vertex
+class, a few more than once: 1,096 for the 1,044 classes of n = 7.
 The representative of a class is the minimum mask of its orbit under the
 full permutation action, so the classes of size n are the distinct orbit
 minima of the candidates, and the recursion starts from the one class of
@@ -26,10 +28,13 @@ by one BFS layer per round, all graphs at once (multi-source BFS as in
 ``engine``'s rounds, after Then et al., VLDB 2014). The sets are
 bit-sliced by graph: a uint64 word holds one (node, node) entry of 64
 graphs, where packing a set by node would leave most of each word empty
-below 64 nodes (21 of its bits at n = 7, k = 2). A round gathers, for
-each of the k(n - k) moves, whole contiguous rows of the neighbours' sets
-into one reused buffer. The candidates go in chunks of as many words as
-keep one reach array within ``_SWEEP_BYTES``, and once at most half of a
+below 64 nodes (21 of its bits at n = 7, k = 2). Under "ts" a round
+gathers, for each of the k(n - k) moves, whole contiguous rows of the
+neighbours' sets into one reused buffer. Under "tj" the subsets that keep
+the same k - 1 tokens are pairwise adjacent, so a round ORs the rows of
+each such group once and then each node's k group rows. The candidates go
+in chunks of as many words as keep one reach array, and under "tj" one
+array of group rows, within ``_SWEEP_BYTES``, and once at most half of a
 chunk's words still grow, the words whose 64 graphs have all stopped are
 dropped. After round r a reach set holds every node within distance r,
 so a graph's largest component diameter is the last round in which one
@@ -45,12 +50,12 @@ count; at the default cap no class of n <= 8 (at most 70 nodes) is. The
 winner is re-verified by the engine as an independent cross-check.
 
 The tables that depend only on n or on (n, k), the candidates, the sweep
-tables and the pair images for the orbit minima, are built on first use
-and kept for the life of the process, read-only; the candidates and pair
-images of every smaller size stay too, since the classes are built from
-them: 0.28 MB for n = 7 and every k, 2.8 MB for n = 8. No answer is
-kept: every search sweeps its candidates and re-verifies its winner
-again.
+tables, the pair images for the orbit minima and the class count, are
+built on first use and kept for the life of the process, read-only; the
+candidates and pair images of every smaller size stay too, since the
+classes are built from them: 0.28 MB for n = 7 and every k, 2.7 MB for
+n = 8. No answer is kept: every search sweeps its candidates and
+re-verifies its winner again.
 
 Random mode samples Erdos-Renyi graphs at several densities plus
 perturbations of the complement-of-path construction, with recorded
@@ -164,7 +169,7 @@ def _pair_images(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, ...]:
     """The tables every n-vertex class shares for k tokens, read-only and
     built once per process.
 
@@ -172,7 +177,11 @@ def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inside the i-th k-subset of ``range(n)`` in key order (colex, as the
     engine's keys sort). ``nbr[i, t]`` is the subset that the t-th
     one-token move from subset i reaches, and ``pair[i, t]`` the bit of the
-    pair that token moves along.
+    pair that token moves along. The subsets that keep the same k - 1
+    tokens form a group, a clique under "tj" (the shared-(k - 1)-subset
+    index of ``engine._ConfigIndex``): ``members[g]`` are the n - k + 1
+    subsets of the g-th (k - 1)-subset in key order, and ``groups[i, t]``
+    is the group of subset i without its t-th token.
     """
     subsets = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
     index = {s: i for i, s in enumerate(subsets)}
@@ -183,11 +192,17 @@ def _sweep_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         moves = [(u, v) for u in s for v in range(n) if v not in s]
         nbr.append([index[tuple(sorted(set(s) - {u} | {v}))] for u, v in moves])
         pair.append([bit[min(u, v), max(u, v)] for u, v in moves])
+    heads = sorted(itertools.combinations(range(n), k - 1), key=lambda s: s[::-1]) if k else []
+    head = {s: g for g, s in enumerate(heads)}
+    members = [[index[tuple(sorted((*s, v)))] for v in range(n) if v not in s] for s in heads]
+    groups = [[head[s[:t] + s[t + 1 :]] for t in range(k)] for s in subsets]
     shape = (len(subsets), k * (n - k) if subsets else 0)
     return (
         _read_only(np.array(inner, dtype=np.int64)),
         _read_only(np.array(nbr, dtype=np.intp).reshape(shape)),
         _read_only(np.array(pair, dtype=np.int64).reshape(shape)),
+        _read_only(np.array(members, dtype=np.intp).reshape(len(heads), max(n - k + 1, 0))),
+        _read_only(np.array(groups, dtype=np.intp).reshape(len(subsets), k)),
     )
 
 
@@ -199,18 +214,22 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def _sweep(
-    masks: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray], rule: str
+    masks: np.ndarray, tables: tuple[np.ndarray, ...], rule: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest component diameter of every class in ``masks``, -1 for a
     class with no independent k-set, and its number of independent k-sets,
     by batched reach rounds over the ``_sweep_tables``.
 
     The masks are swept in chunks of 64-graph words, as many as keep one
-    reach array of the chunk within ``_SWEEP_BYTES`` (at least one word),
-    and every temporary is built per chunk by ``_sweep_chunk``.
+    reach array of the chunk, and under "tj" one array of group rows, within
+    ``_SWEEP_BYTES`` (at least one word); every temporary is built per
+    chunk by ``_sweep_chunk``.
     """
     n = len(tables[0])
-    step = 64 * max(1, _SWEEP_BYTES // (8 * max(n, 1) ** 2))
+    # under "tj" the group arrays take C(n, k - 1) rows, more than the
+    # C(n, k) of a reach array when k > (n + 1) / 2
+    rows = max(n, len(tables[3]) if rule == TJ else 0, 1)
+    step = 64 * max(1, _SWEEP_BYTES // (8 * rows * max(n, 1)))
     diameter = np.empty(len(masks), dtype=np.int64)
     nodes = np.empty(len(masks), dtype=np.int64)
     for lo in range(0, len(masks), step):
@@ -220,7 +239,7 @@ def _sweep(
 
 
 def _sweep_chunk(
-    masks: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray], rule: str
+    masks: np.ndarray, tables: tuple[np.ndarray, ...], rule: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_sweep`` of one chunk, its reach sets bit-sliced by graph.
 
@@ -229,12 +248,17 @@ def _sweep_chunk(
     packed the same way, the graphs in which subset i is a node, and under
     "ts" ``slide[t, i, w]`` those in which node i's t-th move runs along an
     edge. Bits past the last graph stay clear in ``keep``, so they never
-    grow. A round takes, move by move, the neighbours' rows into one reused
-    buffer, masks them by ``slide`` under "ts" and ORs them in. The set of
-    a subset that is no node is cleared once per round by ``keep``, so the
-    empty sets it gathers add nothing. A graph grew in a round when its bit
-    is set anywhere in ``grown ^ reach``. Once at most half of the words
-    still grow, the words whose 64 graphs have all stopped are dropped.
+    grow. The set of a subset that is no node is cleared once per round by
+    ``keep``, so the empty sets it gathers add nothing.
+
+    Under "ts" a round takes, move by move, the neighbours' rows into one
+    reused buffer, masks them by ``slide`` and ORs them in. Under "tj" every
+    two nodes of a group are adjacent, so a round ORs the rows of each
+    group's members into ``group`` and then each node's k group rows into
+    its own: 2 k C(n, k) rows, where the moves take k (n - k) C(n, k) (210
+    against 420 at n = 7, k = 3). A graph grew in a round when its bit is
+    set anywhere in ``grown ^ reach``. Once at most half of the words still
+    grow, the words whose 64 graphs have all stopped are dropped.
 
     The words sit between the two node axes so that ``keep`` and ``slide``,
     one word per row and graph word, broadcast along the last axis, the n
@@ -242,7 +266,7 @@ def _sweep_chunk(
     than words last, where numpy's inner loops are only the chunk's words
     long, and 4-8% slower on k = 2.
     """
-    inner, nbr, pair = tables
+    inner, nbr, pair, members, groups = tables
     n = len(inner)
     pad = ((0, 0), (0, -len(masks) % 64))
     indep = masks & inner[:, None] == 0
@@ -255,22 +279,37 @@ def _sweep_chunk(
         edge = masks.astype("<u8").view(np.uint8).reshape(-1, 8).T
         edge = np.unpackbits(edge, axis=0, bitorder="little")[: pair.max(initial=0) + 1]
         slide = _pack(np.pad(edge, pad))[pair.T][..., None]
+    # with no move (k = 0, k >= n) a round only keeps each node's own set
+    grouped = rule == TJ and nbr.shape[1] > 0
     node = np.arange(n)
     reach = np.zeros((n, keep.shape[1], n), dtype=np.uint64)
     reach[node, :, node] = keep[..., 0]
     grown, buf = np.empty_like(reach), np.empty_like(reach)
+    if grouped:
+        group = np.empty((len(members), *reach.shape[1:]), dtype=np.uint64)
+        gbuf = np.empty_like(group)
     diameter = np.pad(np.where(nodes > 0, 0, -1), pad[1]).reshape(-1, 64)
     live = np.arange(len(diameter))
     rounds = 0
     while True:
         rounds += 1
-        np.copyto(grown, reach)
-        for t in range(nbr.shape[1]):
-            # "clip" never clips here; it spares np.take a buffered copy
-            np.take(reach, nbr[:, t], axis=0, out=buf, mode="clip")
-            if slide is not None:
-                buf &= slide[t]
-            grown |= buf
+        # "clip" never clips here; it spares np.take a buffered copy
+        if grouped:
+            np.take(reach, members[:, 0], axis=0, out=group, mode="clip")
+            for t in range(1, members.shape[1]):
+                np.take(reach, members[:, t], axis=0, out=gbuf, mode="clip")
+                group |= gbuf
+            np.take(group, groups[:, 0], axis=0, out=grown, mode="clip")
+            for t in range(1, groups.shape[1]):
+                np.take(group, groups[:, t], axis=0, out=buf, mode="clip")
+                grown |= buf
+        else:
+            np.copyto(grown, reach)
+            for t in range(nbr.shape[1]):
+                np.take(reach, nbr[:, t], axis=0, out=buf, mode="clip")
+                if slide is not None:
+                    buf &= slide[t]
+                grown |= buf
         grown &= keep
         reach ^= grown
         changed = np.bitwise_or.reduce(reach, axis=(0, 2))
@@ -285,6 +324,9 @@ def _sweep_chunk(
             if slide is not None:
                 slide = slide[:, :, grows]
             reach, buf = np.empty_like(grown), np.empty_like(grown)
+            if grouped:
+                group = np.empty((len(members), *grown.shape[1:]), dtype=np.uint64)
+                gbuf = np.empty_like(group)
         reach, grown = grown, reach
 
 
@@ -295,6 +337,7 @@ def _class_diameter(
     return rep.exact(caller, node_cap).diameter
 
 
+@functools.cache
 def _class_count(n: int) -> int:
     """Number of isomorphism classes of n-vertex graphs, by Burnside's lemma.
 
@@ -321,31 +364,67 @@ def _class_count(n: int) -> int:
 
 @functools.cache
 def _candidates(n: int) -> np.ndarray:
-    """Edge masks that cover every n-vertex class, some more than once,
+    """Edge masks that cover every n-vertex class, a few more than once,
     read-only and built once per process.
 
     Each (n - 1)-vertex class R, its bits moved to their n-vertex
-    ``edge_pairs`` positions, gains a vertex n - 1 for every neighbourhood
-    S that gives it maximum degree: |S| >= deg_R(u) + [u in S] for every u.
-    Every graph has a vertex of maximum degree, so every class appears.
+    ``edge_pairs`` positions, gains a vertex n - 1 with neighbourhood S
+    when two rules of canonical augmentation hold (McKay 1998):
+
+    - lower: S is the smallest vertex set, as a bitmask, of its orbit under
+      Aut(R), the permutations of ``_pair_images(n - 1)`` that fix R's
+      mask. Each sigma in Aut(R) maps the extension by S onto the one by
+      sigma(S), so the smallest stands for the whole orbit;
+    - upper: vertex n - 1 has the largest (degree, sum of neighbour
+      degrees) of all n vertices. In any graph, delete a vertex v that
+      maximises this invariant: the class R of the rest, extended by the
+      smallest Aut(R)-image of v's neighbourhood, is the graph again, with
+      v as vertex n - 1. The rule also gives vertex n - 1 maximum degree.
+
+    So every class appears: 159, 1,096 and 13,348 candidates stand for the
+    156, 1,044 and 12,346 classes of n = 6, 7 and 8. The temporaries are
+    built per block of 64 classes.
     """
     if n <= 1:
         return _read_only(np.zeros(1, dtype=np.int64))
-    reps = np.array(nonisomorphic_masks(n - 1), dtype=np.int64)
+    m = n - 1
+    reps = np.array(nonisomorphic_masks(m), dtype=np.int64)
     bit = {pair: b for b, pair in enumerate(edge_pairs(n))}
-    old = edge_pairs(n - 1)
-    has = reps[:, None] >> np.arange(len(old)) & 1
-    base = (has << np.array([bit[p] for p in old], dtype=np.int64)).sum(axis=1)
-    incidence = np.zeros((len(old), n - 1), dtype=np.int64)
-    for b, (u, v) in enumerate(old):
-        incidence[b, u] = incidence[b, v] = 1
-    degree = has @ incidence
-    member = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1
+    old = edge_pairs(m)
+    us, vs = np.array(old, dtype=np.intp).reshape(-1, 2).T
+    shift = np.array([bit[p] for p in old], dtype=np.int64)
+    sets = np.arange(1 << m)
+    member = sets[:, None] >> np.arange(m) & 1
     size = member.sum(axis=1)
-    fits = (size[None, :, None] >= degree[:, None, :] + member).all(axis=2)
-    new = member @ np.array([1 << bit[u, n - 1] for u in range(n - 1)], dtype=np.int64)
-    cls, nbhd = np.nonzero(fits)
-    return _read_only(base[cls] | new[nbhd])
+    new = member @ np.array([1 << bit[u, m] for u in range(m)], dtype=np.int64)
+    # image[p, s] is the vertex set s under the p-th permutation of
+    # range(m), in the row order of _pair_images(m)
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.uint8).reshape(-1, m)
+    image = np.left_shift(1, perms, dtype=np.uint8) @ member.T.astype(np.uint8)
+    weights = (np.int64(1) << _pair_images(m)).T.astype(np.float64)
+    parts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(reps), 64):
+        rep = reps[lo : lo + 64]
+        has = rep[:, None] >> np.arange(len(old)) & 1
+        # each class's automorphisms, the identity among them, by the exact
+        # float64 images of orbit_minima
+        cls, perm = np.nonzero(has @ weights == rep[:, None])
+        first = np.flatnonzero(np.diff(cls, prepend=-1))
+        lower = np.minimum.reduceat(image[perm], first, axis=0) == sets
+        adj = np.zeros((len(rep), m, m), dtype=np.int64)
+        adj[:, us, vs] = adj[:, vs, us] = has
+        deg = adj.sum(axis=2)
+        # the key n^2 degree + sum of neighbour degrees, which the extension
+        # by S raises by n^2 + |S| at u in S and by |N(u) & S| at every u;
+        # axes (class, S, old vertex u), and the new vertex's is new_key
+        key = n * n * deg + (adj @ deg[..., None])[..., 0]
+        old_key = key[:, None, :] + member * (n * n + size[:, None])
+        old_key += np.bitwise_count((adj @ (1 << np.arange(m)))[:, None, :] & sets[:, None])
+        new_key = n * n * size + deg @ member.T + size
+        upper = new_key >= old_key.max(axis=2)
+        cls, nbhd = np.nonzero(lower & upper)
+        parts.append((has << shift).sum(axis=1)[cls] | new[nbhd])
+    return _read_only(np.concatenate(parts))
 
 
 def exhaustive_search(
@@ -357,9 +436,10 @@ def exhaustive_search(
     """Best configuration-graph diameter over all n-vertex graphs (n <= 8).
 
     The graphs swept are the ``_candidates``, the classes of size n - 1
-    extended by one vertex of maximum degree, all in one ``_sweep``; a
-    class may be swept more than once, which changes no maximum, and
-    ``classes_examined`` is the exact class count of ``_class_count``.
+    extended by one vertex under the rules of canonical augmentation, all
+    in one ``_sweep``; a few classes are swept more than once, which
+    changes no maximum, and ``classes_examined`` is the exact class count
+    of ``_class_count``.
     ``best_masks`` lists the orbit minima of the candidates achieving the
     optimum, ascending, so uniqueness up to isomorphism is checkable, and
     the first of them is re-verified by the engine before its edges are

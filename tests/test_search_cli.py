@@ -18,6 +18,7 @@ from oracles import (
     brute_component_diameters,
     census_exhaustive_search,
     census_masks,
+    extension_candidates,
 )
 import reconfig
 from reconfig import cli
@@ -149,10 +150,10 @@ def test_sweep_matches_engine_past_one_word():
 
 def test_sweep_drops_converged_words(monkeypatch):
     # word w of a chunk grows in round r while r <= the largest diameter
-    # of its 64 graphs; in one chunk of all 6 words of the n = 6
-    # candidates, or in chunks of 2, some round leaves at most half of
-    # the words growing, so the stopped ones are dropped from the arrays
-    masks = S._candidates(6).tolist()
+    # of its 64 graphs; in one chunk of all 6 words of the 348 unpruned
+    # n = 6 extensions, or in chunks of 2, some round leaves at most half
+    # of the words growing, so the stopped ones are dropped from the arrays
+    masks = extension_candidates(6).tolist()
     for k in (2, 3):
         word = 8 * math.comb(6, k) ** 2
         for rule in (TJ, TS):
@@ -198,6 +199,28 @@ def test_exhaustive_search_matches_census_route(n):
                 want = _json_or_refusal(lambda: census_exhaustive_search(n, k, rule, cap))
                 got = _json_or_refusal(lambda: S.exhaustive_search(n, k, rule, cap).to_json())
                 assert got == want, (n, k, rule, cap)
+
+
+def test_candidates_are_pruned():
+    # the two rules of canonical augmentation leave at most 8 candidates
+    # per hundred classes beyond one each, where every extension of
+    # maximum degree gives more than two per class
+    for n, count, unpruned in ((6, 159, 348), (7, 1096, 2690), (8, 13348, 29755)):
+        assert len(S._candidates(n)) == count, n
+        assert len(extension_candidates(n)) == unpruned, n
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_exhaustive_search_same_as_unpruned(k, monkeypatch):
+    # sweeping every extension of maximum degree instead gives the same
+    # JSON, or the same refusal text, at and below the node cap
+    for rule in (TJ, TS):
+        for cap in (0, 4, 20, E.DEFAULT_NODE_CAP):
+            got = _json_or_refusal(lambda: S.exhaustive_search(7, k, rule, cap).to_json())
+            with monkeypatch.context() as m:
+                m.setattr(S, "_candidates", extension_candidates)
+                want = _json_or_refusal(lambda: S.exhaustive_search(7, k, rule, cap).to_json())
+            assert got == want, (k, rule, cap)
 
 
 # D(8, k) and the number of extremal classes, the first n the census of
@@ -305,7 +328,7 @@ def test_search_memos_are_read_only():
 
 
 def test_exhaustive_search_same_cold_and_warm():
-    memos = (S._candidates, S._sweep_tables, S._pair_images)
+    memos = (S._candidates, S._sweep_tables, S._pair_images, S._class_count)
     for n in range(7):
         for k in (1, 2, 3):
             for rule in (TJ, TS):

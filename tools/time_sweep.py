@@ -4,6 +4,10 @@ For each (n, k, rule) cell one ``_sweep`` call takes every candidate of
 ``search._candidates(n)``, in the chunks that ``search._SWEEP_BYTES`` sets;
 each of 5 repeats times that pass, and the script prints, as one JSON line,
 the byte budget and, per cell, the median and the spread of the repeats.
+Per n it also gives the number of candidates and the time of the first,
+cold ``_candidates(n)`` call in the process, which builds the class lists
+of the smaller sizes on the way and which the per-pass medians leave out;
+the n are taken in the order of the cells.
 The cells are those of ``test_exhaustive_n8`` and the three n = 7 cells of
 the benchmark. It times the ``reconfig`` package on the import path, so
 two checkouts can be timed one after the other:
@@ -29,7 +33,15 @@ REPEATS = 5
 
 
 def main() -> None:
-    out = {"src": str(Path(S.__file__).parents[1]), "sweep_bytes": S._SWEEP_BYTES, "cells": []}
+    out = {"src": str(Path(S.__file__).parents[1]), "sweep_bytes": S._SWEEP_BYTES}
+    out["candidates"] = {}
+    for n in dict.fromkeys(n for n, _, _ in CELLS):
+        t0 = time.perf_counter()
+        masks = S._candidates(n)
+        out["candidates"][n] = {
+            "count": len(masks), "cold_s": round(time.perf_counter() - t0, 4),
+        }
+    out["cells"] = []
     for n, k, rule in CELLS:
         masks = S._candidates(n)
         tables = S._sweep_tables(n, k)
