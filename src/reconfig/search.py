@@ -402,13 +402,14 @@ def _candidates(n: int) -> np.ndarray:
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.uint8).reshape(-1, m)
     image = np.left_shift(1, perms, dtype=np.uint8) @ member.T.astype(np.uint8)
     weights = (np.int64(1) << _pair_images(m)).T.astype(np.float64)
-    parts = [np.zeros(0, dtype=np.int64)]
+    parts = []
     for lo in range(0, len(reps), 64):
         rep = reps[lo : lo + 64]
         has = rep[:, None] >> np.arange(len(old)) & 1
         # each class's automorphisms, the identity among them, by the exact
-        # float64 images of orbit_minima
-        cls, perm = np.nonzero(has @ weights == rep[:, None])
+        # float64 images of orbit_minima (a flat index: 2-d np.nonzero took
+        # 6 times as long here)
+        cls, perm = np.divmod(np.flatnonzero(has @ weights == rep[:, None]), len(image))
         first = np.flatnonzero(np.diff(cls, prepend=-1))
         lower = np.minimum.reduceat(image[perm], first, axis=0) == sets
         adj = np.zeros((len(rep), m, m), dtype=np.int64)
