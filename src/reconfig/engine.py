@@ -59,7 +59,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .graph import Graph, GraphError, is_independent
+from .graph import Graph, GraphError, is_independent, packed_rows
 
 # after .graph: imported first, numpy raised the peak RSS of `import
 # reconfig.cli` by 0.5 MB
@@ -371,10 +371,7 @@ class _ConfigIndex:
         keep = self.member[at] != owner // max(k, 1)
         if self.rule == TS:
             if self._adj_bits is None:
-                width = (self.g.n + 7) // 8
-                self._adj_bits = np.frombuffer(
-                    b"".join([row.to_bytes(width, "little") for row in self.g.adj]), np.uint8
-                ).reshape(self.g.n, width)
+                self._adj_bits = packed_rows(self.g.adj, (self.g.n + 7) // 8)
             v = self.new_vert[at]
             keep &= (self._adj_bits[self.vert[owner], v >> 3] >> (v & 7) & 1).astype(bool)
         node_of = np.repeat(np.repeat(np.arange(len(nodes)), k), sizes)

@@ -4,6 +4,13 @@ Vertices are 0-based ints. Each adjacency row is a Python int used as an
 n-bit set, which keeps near-complete graphs compact and makes independence
 tests single AND operations. Bit i of an edge mask is pair i of
 ``edge_pairs(n)``, the pairs u < v in lexicographic order.
+
+Array code reads rows as little-endian bytes, bit v of a row at bit v & 7
+of its byte v >> 3 (``packed_rows``). ``Graph(n, rows)`` checks untrusted
+rows (range, self-loops, symmetry) on the packed n x ceil(n/8) bytes while
+they fit in ``_CHECK_BYTES`` = 8 MiB, which is n <= 8192; larger rows are
+taken unchecked. The edge-list writer reads the pairs u < v off the rows'
+bytes above the diagonal, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "orbit_minima",
     "pair_images",
     "edge_pairs",
+    "packed_rows",
     "mask_to_graph",
     "graph_to_mask",
     "MAX_EDGE_LIST_N",
@@ -36,9 +44,13 @@ __all__ = [
     "write_graph",
 ]
 
-# Full row validation is quadratic in n; beyond this size we trust the
-# factory methods, which build symmetric rows by construction.
-_VALIDATE_LIMIT = 4096
+# Graph.__init__ checks untrusted rows only while their packed form, n x
+# ceil(n/8) bytes, fits in this budget (n <= 8192); above it the rows are
+# taken unchecked.
+_CHECK_BYTES = 8 << 20
+# Bits of adjacency rows that the row check and the edge-list writer unpack,
+# and that packed_rows joins, at a time.
+_BLOCK_BITS = 1 << 16
 
 
 class GraphError(ValueError):
@@ -56,21 +68,20 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Iterable[int], *, _trusted: bool = False):
+        """Graph on n vertices with adjacency rows ``adj``.
+
+        Unless ``_trusted``, rows are checked for bits outside 0..n-1, then
+        self-loops, then asymmetric pairs, and the first failure in row order
+        raises GraphError, while the packed rows fit in ``_CHECK_BYTES``
+        (n <= 8192). Rows of more vertices are not checked.
+        """
         rows = tuple(adj)
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
-        if not _trusted and n <= _VALIDATE_LIMIT:
-            for u in range(n):
-                if rows[u].bit_length() > n or rows[u] < 0:
-                    raise GraphError(f"row {u} has bits outside 0..{n - 1}")
-                if rows[u] & (1 << u):
-                    raise GraphError(f"self-loop at vertex {u}")
-            for u in range(n):
-                for v in _iter_bits(rows[u]):
-                    if not rows[v] & (1 << u):
-                        raise GraphError(f"asymmetric adjacency at ({u},{v})")
+        if not _trusted and n * ((n + 7) // 8) <= _CHECK_BYTES:
+            _check_rows(n, rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", rows)
 
@@ -154,12 +165,45 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-    return
+def packed_rows(rows, width: int) -> np.ndarray:
+    """Nonnegative ints below 2**(8 * width) as a (len(rows), width) uint8
+    array, little-endian: bit v of row u is bit v & 7 of entry [u, v >> 3].
+    Rows are joined _BLOCK_BITS at a time."""
+    packed = np.empty((len(rows), width), dtype=np.uint8)
+    span = max(1, _BLOCK_BITS // max(8 * width, 1))
+    for lo in range(0, len(rows), span):
+        block = rows[lo : lo + span]
+        packed[lo : lo + len(block)] = np.frombuffer(
+            b"".join([row.to_bytes(width, "little") for row in block]), np.uint8
+        ).reshape(len(block), width)
+    return packed
+
+
+def _check_rows(n: int, rows: tuple[int, ...]) -> None:
+    """Raise GraphError for the first row in order with bits outside 0..n-1
+    or a self-loop, the range before the loop; else for the first (u, v) in
+    row-major order with v in row u but not u in row v.
+
+    The packed rows are n x ceil(n/8) bytes; each block of rows is compared
+    with the matching block of columns, transposed.
+    """
+    bad = next((u for u, row in enumerate(rows) if row.bit_length() > n or row < 0), n)
+    packed = packed_rows(rows[:bad], (n + 7) // 8)
+    diagonal = np.arange(bad)
+    loops = np.flatnonzero(packed[diagonal, diagonal >> 3] >> (diagonal & 7) & 1)
+    if len(loops):
+        raise GraphError(f"self-loop at vertex {loops[0]}")
+    if bad < n:
+        raise GraphError(f"row {bad} has bits outside 0..{n - 1}")
+    span = max(8, _BLOCK_BITS // max(n, 1) & -8)  # a column block starts on a byte
+    for lo in range(0, n, span):
+        hi = min(n, lo + span)
+        ahead = np.unpackbits(packed[lo:hi], axis=1, count=n, bitorder="little")
+        behind = np.unpackbits(packed[:, lo >> 3 : (hi + 7) >> 3], axis=1, count=hi - lo, bitorder="little")
+        odd = ahead > behind.T
+        if odd.any():
+            u, v = divmod(int(odd.argmax()), n)
+            raise GraphError(f"asymmetric adjacency at ({lo + u},{v})")
 
 
 def complement(g: Graph) -> Graph:
@@ -306,9 +350,40 @@ def orbit_minima(images: np.ndarray, masks) -> np.ndarray:
 
 
 def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in g.edges())
-    return "".join(lines)
+    return "".join(_edge_list_blocks(g))
+
+
+def _edge_list_blocks(g: Graph) -> Iterator[str]:
+    """The edge-list text of g: the header, then the lines of the pairs
+    u < v in blocks of rows of about _BLOCK_BITS bits above the diagonal, so
+    that every temporary is bounded by the block and none by the graph."""
+    yield f"{g.n} {g.num_edges}\n"
+    # the decimal text of every vertex id, padded with zero bytes, which no
+    # line holds: a line is the text of u, a space, that of v and a newline,
+    # with the zero bytes dropped
+    names = np.arange(g.n).astype(f"S{len(str(max(g.n - 1, 0)))}")
+    line = np.dtype([("u", names.dtype), ("space", "S1"), ("v", names.dtype), ("newline", "S1")])
+    # bit j of adj[u] >> (u + 1) is the pair (u, u + 1 + j); these bits take
+    # sizes[u] bytes, from byte starts[u] of all rows' bytes on, so sparse
+    # rows take few bytes and no row pads another
+    sizes = [(max(row.bit_length() - u, 0) + 7) // 8 for u, row in enumerate(g.adj, 1)]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    # the first row of each block; not np.unique, which imports numpy.ma
+    # (about 1 MB of RSS)
+    bounds = np.searchsorted(starts, np.arange(0, starts[-1], max(1, _BLOCK_BITS // 8)), side="right") - 1
+    bounds = [*dict.fromkeys(bounds.tolist()), g.n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rest = zip(range(lo + 1, hi + 1), g.adj[lo:hi], sizes[lo:hi])
+        data = np.frombuffer(b"".join([(row >> u).to_bytes(size, "little") for u, row, size in rest]), np.uint8)
+        at = np.flatnonzero(data)  # the nonzero bytes, each unpacked alone
+        byte, bit = np.nonzero(np.unpackbits(data[at, None], axis=1, bitorder="little"))
+        at += starts[lo]
+        rows = np.searchsorted(starts, at, side="right") - 1
+        firsts = rows + 1 + 8 * (at - starts[rows])  # the vertex of each byte's bit 0
+        text = np.empty(len(byte), line)
+        text["u"], text["space"], text["v"], text["newline"] = names[rows[byte]], b" ", names[firsts[byte] + bit], b"\n"
+        text = text.view(np.uint8)
+        yield text[text != 0].tobytes().decode("ascii")
 
 
 # The ASCII characters that str.split() treats as whitespace but
@@ -629,4 +704,4 @@ def read_graph(path: str, fmt: str = "edge-list") -> Graph:
 def write_graph(g: Graph, path: str) -> None:
     """Write ``g`` to ``path`` in the canonical edge-list format."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(write_edge_list(g))
+        fh.writelines(_edge_list_blocks(g))

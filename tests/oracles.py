@@ -363,6 +363,31 @@ def brute_parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def brute_check_rows(n: int, rows) -> None:
+    """The per-edge row check: range and sign, then a self-loop, row by row;
+    then every set bit v of every row u against bit u of row v."""
+    for u in range(n):
+        if rows[u].bit_length() > n or rows[u] < 0:
+            raise GraphError(f"row {u} has bits outside 0..{n - 1}")
+        if rows[u] & (1 << u):
+            raise GraphError(f"self-loop at vertex {u}")
+    for u in range(n):
+        rest = rows[u]
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if not rows[v] & (1 << u):
+                raise GraphError(f"asymmetric adjacency at ({u},{v})")
+            rest ^= low
+
+
+def brute_write_edge_list(g: Graph) -> str:
+    """The per-edge writer: the header, then one formatted line per edge."""
+    lines = [f"{g.n} {g.num_edges}\n"]
+    lines.extend(f"{u} {v}\n" for u, v in g.edges())
+    return "".join(lines)
+
+
 def brute_is_63_free(edges):
     """(6,3)-freeness of a triple system by scanning every three triples:
     (True, None), or (False, union of the first failing three in

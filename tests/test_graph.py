@@ -6,14 +6,16 @@ from unittest import mock
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     brute_canonical_form,
+    brute_check_rows,
     brute_independence_number,
     brute_is_clique,
     brute_parse_edge_list,
+    brute_write_edge_list,
     random_graph,
 )
 from reconfig import graph as graph_module
@@ -116,6 +118,80 @@ def test_graph_invariant_checks():
         Graph(2, [0, 0], True)  # the trust flag is keyword-only
 
 
+def _refusal(check, n, rows):
+    """The GraphError text of one row check, or None if it passes."""
+    try:
+        check(n, rows)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def faulty_rows(draw):
+    """Rows of a random graph with faults injected, several at once: bits
+    outside 0..n-1, negative rows, self-loops and one-sided pairs. n runs
+    over 0..70 and, now and then, sizes around the edge of the first row
+    block (_BLOCK_BITS // n rows, a multiple of 8)."""
+    n = draw(st.integers(0, 78))
+    if n > 70:
+        n = (248, 255, 256, 257, 263, 264, 265, 272)[n - 71]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = list(random_graph(rng, n, draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))).adj)
+    vertex = st.integers(0, max(n - 1, 0))
+    for kind, u, v in draw(st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 3, 3]), vertex, vertex), max_size=4 if n else 0)):
+        if kind == 0:
+            rows[u] |= 1 << (n + v % 3)
+        elif kind == 1:
+            rows[u] = -1 - rows[u]
+        elif kind == 2:
+            rows[u] |= 1 << u
+        elif u != v:
+            rows[u] ^= 1 << v
+    return n, rows
+
+
+@given(faulty_rows(), st.sampled_from([1, 1000, graph_module._BLOCK_BITS]))
+@example((3, [0b110, 0b101, 0b1011]), 1)  # faults in the last row: range,
+@example((3, [0b110, 0b101, -4]), 1)  # sign,
+@example((3, [0b110, 0b101, 0b111]), 1)  # self-loop
+@example((3, [0b110, 0b101, 0b001]), 1)  # and a one-sided pair
+@settings(max_examples=300, deadline=None)
+def test_row_check_matches_per_edge_oracle(case, block_bits):
+    # blocks of 8 rows and up, and joins of one row and up
+    n, rows = case
+    want = _refusal(brute_check_rows, n, rows)
+    with mock.patch.object(graph_module, "_BLOCK_BITS", block_bits):
+        assert _refusal(Graph, n, rows) == want
+    if want is None:
+        assert Graph(n, rows).adj == tuple(rows)
+
+
+def test_row_check_above_4096_and_at_the_budget():
+    # sparse rows at n = 5000, where the per-edge loop is cheap: a random
+    # graph with two one-sided pairs, then also with a self-loop in a later
+    # row, which the first pass over the rows finds first
+    n = 5000
+    rng = random.Random(5)
+    rows = list(Graph.from_edges(n, {tuple(sorted(rng.sample(range(n), 2))) for _ in range(20000)}).adj)
+    rows[4321] ^= 1 << 17
+    rows[999] ^= 1 << 4998
+    looped = rows[:3000] + [rows[3000] | 1 << 3000] + rows[3001:]
+    for faulty, want in ((rows, "asymmetric adjacency at (999,4998)"), (looped, "self-loop at vertex 3000")):
+        assert _refusal(brute_check_rows, n, faulty) == want
+        assert _refusal(Graph, n, faulty) == want
+    # dense rows with one edge dropped on one side: at the budget, n = 8192,
+    # they are refused; one vertex more, they are taken unchecked
+    for n, checked in ((8192, True), (8193, False)):
+        assert (n * ((n + 7) // 8) <= graph_module._CHECK_BYTES) == checked
+        rows = list(complement_path(n)[0].adj)
+        rows[6000] ^= 1 << 100
+        if checked:
+            assert _refusal(Graph, n, rows) == "asymmetric adjacency at (100,6000)"
+        else:
+            assert Graph(n, rows).adj == tuple(rows)
+
+
 def test_duplicate_edge_warns_and_dedups():
     with pytest.warns(UserWarning) as record:
         g = Graph.from_edges(3, [(0, 1), (1, 0)])
@@ -143,6 +219,33 @@ def test_edge_list_roundtrip_random():
         text = write_edge_list(g)
         assert write_edge_list(parse_edge_list(text)) == text
         assert parse_edge_list(text) == g
+
+
+@given(st.integers(0, 70) | st.sampled_from([358, 359, 360, 361]), st.integers(0, 2**32),
+       st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.sampled_from([1, 1000, graph_module._BLOCK_BITS]))
+@settings(max_examples=200, deadline=None)
+def test_write_edge_list_matches_per_edge_writer(n, seed, p, block_bits):
+    # blocks of one byte and up; on 359 vertices the complete graph's rows
+    # take 8,190 bytes above the diagonal, one block of _BLOCK_BITS, and on
+    # 360 vertices 8,235
+    g = random_graph(random.Random(seed), n, p)
+    with mock.patch.object(graph_module, "_BLOCK_BITS", block_bits):
+        assert write_edge_list(g) == brute_write_edge_list(g)
+
+
+def test_write_edge_list_digit_counts_and_sparse_rows():
+    # ids of one to five digits, on both sides of each change in width; the
+    # path's rows take one byte each above the diagonal, the random graph's
+    # up to 1,250
+    for n in (0, 1, 2, 10, 11, 100, 101):
+        assert write_edge_list(Graph.complete(n)) == brute_write_edge_list(Graph.complete(n))
+    rng = random.Random(2)
+    for g in (
+        complement_path(1001)[0],
+        Graph.from_edges(10001, [(v, v + 1) for v in range(10000)]),
+        Graph.from_edges(10001, {tuple(sorted(rng.sample(range(10001), 2))) for _ in range(10000)}),
+    ):
+        assert write_edge_list(g) == brute_write_edge_list(g)
 
 
 def test_edge_list_is_canonical():
@@ -271,6 +374,28 @@ def test_parse_edge_list_temporaries_bounded():
             tracemalloc.stop()
         assert got.n in (600, n)
         assert peak - retained < 16 << 20
+
+
+def test_row_check_and_writer_temporaries_bounded(tmp_path):
+    # the check holds the packed rows, at most _CHECK_BYTES, and a block of
+    # them unpacked; the file writer a block of rows and its lines, whatever
+    # the size of the text (here about 9 MiB)
+    budget = graph_module._CHECK_BYTES
+    rows = list(complement_path(8192)[0].adj)
+    g, _ = complement_path(1500)
+    path = tmp_path / "g.edges"
+    for call, bound in (
+        (lambda: Graph(8192, rows), budget + (2 << 20)),
+        (lambda: write_graph(g, str(path)), 4 << 20),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained < bound
+    assert path.read_text() == brute_write_edge_list(g)
 
 
 @pytest.mark.parametrize(

@@ -269,8 +269,9 @@ def test_decide_k2_fast_matches_naive_and_explicit(instance):
 
 
 def test_decide_k2_above_validate_limit():
-    n = 5000
-    assert n > graph_module._VALIDATE_LIMIT
+    # past the size up to which Graph checks untrusted rows
+    n = 8200
+    assert n * ((n + 7) // 8) > graph_module._CHECK_BYTES
     g, _ = complement_path(n)
     cut = g.with_edge(n // 2 - 1, n // 2)  # the complement path splits in two
     lo, hi, upper = (0, 1), (n - 2, n - 1), (n // 2, n // 2 + 1)
