@@ -132,9 +132,8 @@ def _cmd_search(args) -> int:
     if args.exhaustive:
         result = search.exhaustive_search(args.n, args.k, args.rule, args.cap)
     else:
-        trials = args.random if args.random is not None else 100
         result = search.random_search(
-            args.n, args.k, args.rule, trials, args.seed, args.cap,
+            args.n, args.k, args.rule, args.random, args.seed, args.cap,
             workers=args.threads,
         )
     _emit(result.to_json())

@@ -14,6 +14,7 @@ transition property, so the ring keeps the single difference 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from . import engine
@@ -27,7 +28,6 @@ __all__ = [
     "is_prime",
     "complement_path",
     "circulant_ap_graph",
-    "circulant_paths",
     "orient_endpoint",
     "glue",
     "toll_booth_extend",
@@ -142,27 +142,17 @@ def _complement_path_rows(n: int) -> list[int]:
 # circulant construction: many disjoint path components in the 3-token graph
 
 
-def circulant_paths(p: int, elems: Iterable[int]) -> dict[int, list[tuple[int, ...]]]:
-    """Predicted 3-token components of the circulant graph, one path per
-    difference s: path node j (j = 1..p-3) is the vertex-id triple for
-    residues {js, (j+1)s, (j+2)s} mod p; the three triples through the
-    deleted vertex 0 are the ones skipped."""
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for s in elems:
-        path = []
-        for j in range(1, p - 2):
-            tri = sorted((j * s % p, (j + 1) * s % p, (j + 2) * s % p))
-            path.append(tuple(r - 1 for r in tri))
-        out[s] = path
-    return out
-
-
 def circulant_ap_graph(p: int, s: "APSet | Iterable[int]") -> tuple[Graph, BuildReport]:
     """Near-complete graph on p-1 vertices whose 3-token configuration graph
     splits into |S| induced paths of p-3 nodes each.
 
     Start from a clique on Z_p, delete the edges (i, i+s) and (i, i+2s) for
     every s in S, then drop vertex 0, so vertex id v is residue v+1.
+
+    The report's ``roles["components"]`` holds one record ``{"s", "path"}``
+    per difference s, in the order of S: path node j (j = 1..p-3) is the
+    sorted vertex-id triple of the residues {js, (j+1)s, (j+2)s} mod p; the
+    three triples through the deleted vertex 0 are the ones skipped.
     """
     elems = tuple(s.elements) if isinstance(s, APSet) else tuple(sorted(set(s)))
     if not is_prime(p):
@@ -196,21 +186,20 @@ def circulant_ap_graph(p: int, s: "APSet | Iterable[int]") -> tuple[Graph, Build
                 rows[v] &= ~(1 << u)
     g = Graph(n, rows)
 
-    paths = circulant_paths(p, elems)
-    first = paths[elems[0]]
+    components = []
+    for e in elems:
+        ids = [i * e % p - 1 for i in range(p)]  # vertex id of residue i*e
+        components.append({"s": e, "path": [sorted(ids[j : j + 3]) for j in range(1, p - 2)]})
+    first = components[0]["path"]
     report = BuildReport(
         name="circulant",
         params={"p": p, "s": list(elems)},
         k=3,
         claimed_diameter_lb=p - 4,
         formula="p-4 per component (each component is a path on p-3 nodes)",
-        start=first[0],
-        target=first[-1],
-        roles={
-            "components": [
-                {"s": e, "path": [list(t) for t in paths[e]]} for e in elems
-            ]
-        },
+        start=tuple(first[0]),
+        target=tuple(first[-1]),
+        roles={"components": components},
         extra={"component_count": len(elems), "component_nodes": p - 3},
     )
     _validate_endpoint(g, report.start, 3, "report start")
@@ -501,16 +490,13 @@ def iterate_toll(
 
 def _consecutive_mod8(labels3: Iterable[int]) -> bool:
     rs = {l % 8 for l in labels3}
-    if len(rs) != 3:
-        return False
     return any({r, (r + 1) % 8, (r + 2) % 8} == rs for r in range(8))
 
 
-def check_ring_properties(
-    h: Graph, p: int, elems: tuple[int, ...], labels: list[int]
-) -> dict:
+def check_ring_properties(h: Graph, components: list[dict], labels: list[int]) -> dict:
     """Label-structure checks on a circulant ring used as a +3 toll stage,
-    where ``labels[v]`` is the label of vertex v.
+    where ``components`` are the ring report's ``roles["components"]``
+    records and ``labels[v]`` is the label of vertex v.
 
     Returns a dict with boolean ``consecutive_mod8`` (every independent
     triple spans three cyclically consecutive residues mod 8),
@@ -521,26 +507,24 @@ def check_ring_properties(
     """
     triples = engine.independent_sets(h, 3)
     consec = all(_consecutive_mod8(labels[v] for v in t) for t in triples)
-    transition = True
-    for i, t1 in enumerate(triples):
-        s1 = set(t1)
-        for t2 in triples[i + 1 :]:
-            diff = s1 ^ set(t2)
-            if len(diff) == 2:
-                u, v = diff
-                if (labels[u] - labels[v]) % 8 not in (3, 5):
-                    transition = False
+    # adjacent triples keep a common pair: group the swapped-in tokens by it
+    swapped: dict[tuple[int, ...], list[int]] = {}
+    for t in triples:
+        for i in range(3):
+            swapped.setdefault(t[:i] + t[i + 1 :], []).append(t[i])
+    transition = all(
+        (labels[u] - labels[v]) % 8 in (3, 5)
+        for vs in swapped.values() for u, v in combinations(vs, 2)
+    )
     zero_labels = {l for l in labels if l % 8 == 0}
-    paths = circulant_paths(p, elems)
-    missing = {}
-    for e, path in paths.items():
-        covered = {labels[v] for t in path for v in t}
-        missing[e] = sorted(zero_labels - covered)
+    missing = {
+        rec["s"]: sorted(zero_labels - {labels[v] for t in rec["path"] for v in t})
+        for rec in components
+    }
     return {
         "consecutive_mod8": consec,
         "transition_mod8": transition,
         "zero_mod8_missing": missing,
-        "triple_count": len(triples),
     }
 
 
@@ -578,10 +562,10 @@ def triple_extend(
     # relabel so the component walks consecutive integers: vertex of residue
     # r gets label r * s^-1 mod p, turning every triple's labels into
     # {j, j+1, j+2} and making the mod-8 structure exact
-    h, _ = circulant_ap_graph(p, (s,))
+    h, ring = circulant_ap_graph(p, (s,))
     s_inv = pow(s, -1, p)
     labels = [(v + 1) * s_inv % p for v in range(h.n)]
-    props = check_ring_properties(h, p, (s,), labels)
+    props = check_ring_properties(h, ring.roles["components"], labels)
     if not props["consecutive_mod8"]:
         raise ConstructionError(
             "ring property failed: some independent triple lacks consecutive labels mod 8"
@@ -605,7 +589,7 @@ def triple_extend(
     gp = Graph(n_new, rows)
 
     # endpoint triples: first and last path nodes with residues {1,2,3}
-    path = circulant_paths(p, (s,))[s]
+    path = ring.roles["components"][0]["path"]
 
     def residues(t):
         return {labels[v] % 8 for v in t}
@@ -672,35 +656,29 @@ def build_k3_extremal(budget_n: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple[
         raise ConstructionError(f"no feasible prime for budget {budget_n}")
     p, s = chosen
     g, rep = circulant_ap_graph(p, s)
-    paths = circulant_paths(p, s.elements)
-    ordered = [paths[e] for e in s.elements]
+    ordered = [rec["path"] for rec in rep.roles["components"]]
+    params = {"budget_n": budget_n, "p": p, "s": list(s.elements)}
     if len(ordered) == 1:
-        path = ordered[0]
-        d = engine.distance(g, 3, path[0], path[-1], TJ, node_cap)
+        d = engine.distance(g, 3, rep.start, rep.target, TJ, node_cap)
         report = BuildReport(
             name="k3-extremal",
-            params={"budget_n": budget_n, "p": p, "s": list(s.elements)},
+            params=params,
             k=3,
             claimed_diameter_lb=d,
             formula="single component path, measured end-to-end",
-            start=path[0],
-            target=path[-1],
+            start=rep.start,
+            target=rep.target,
             roles=rep.roles,
             extra={"component_distances": [d], "junctions": 0},
         )
         return g, report
-    junctions = []
-    for i in range(len(ordered) - 1):
-        b_order = orient_endpoint(ordered[i], "b")
-        a_order = orient_endpoint(ordered[i + 1], "a")
-        junctions.append((b_order, a_order))
-    start = ordered[0][0]
-    target = ordered[-1][-1]
-    h, glue_rep = glue(g, 3, junctions, start, target, node_cap)
+    junctions = [(orient_endpoint(out, "b"), orient_endpoint(into, "a"))
+                 for out, into in zip(ordered, ordered[1:])]
+    h, glue_rep = glue(g, 3, junctions, rep.start, ordered[-1][-1], node_cap)
     nominal = 8 * (len(s) - 1) + len(s) * (p - 3)
     report = BuildReport(
         name="k3-extremal",
-        params={"budget_n": budget_n, "p": p, "s": list(s.elements)},
+        params=params,
         k=3,
         claimed_diameter_lb=glue_rep.claimed_diameter_lb,
         formula=glue_rep.formula,

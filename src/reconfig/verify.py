@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import engine
-from .constructions import circulant_ap_graph, circulant_paths
+from .constructions import circulant_ap_graph
 from .engine import DEFAULT_NODE_CAP, TJ, NodeCapExceeded
 from .graph import Graph, GraphError, is_independent
 
@@ -329,10 +329,9 @@ def check_circulant_structure(
     """Exhaustively verify the predicted 3-token structure of a circulant:
     the independent triples are exactly the predicted families, splitting
     into |S| induced paths of p-3 nodes with no cross edges."""
-    g, _ = circulant_ap_graph(p, s)
-    elems = tuple(sorted(set(s)))
-    paths = circulant_paths(p, elems)
-    predicted = {t for path in paths.values() for t in path}
+    g, report = circulant_ap_graph(p, s)
+    components = report.roles["components"]
+    predicted = {tuple(t) for rec in components for t in rec["path"]}
     actual = set(engine.independent_sets(g, 3))
     details: dict = {
         "extra_triples": sorted(actual - predicted),
@@ -350,7 +349,7 @@ def check_circulant_structure(
     ok = (
         not details["extra_triples"]
         and not details["missing_triples"]
-        and details["component_count"] == len(elems)
+        and details["component_count"] == len(components)
         and all(sz == p - 3 for sz in details["component_sizes"])
         and details["paths_ok"]
     )

@@ -397,3 +397,30 @@ def brute_is_63_free(edges):
         if len(union) <= 6:
             return False, tuple(sorted(union))
     return True, None
+
+
+def pairwise_ring_properties(triples, p: int, elems, labels) -> dict:
+    """The +3 ring's label checks by the direct route: every pair of
+    independent triples is compared, and each component's triples come from
+    the residue formula {js, (j+1)s, (j+2)s} mod p, j = 1..p-3, with vertex
+    id r - 1 for residue r."""
+    consec = all(
+        any({labels[v] % 8 for v in t} == {r % 8, (r + 1) % 8, (r + 2) % 8} for r in range(8))
+        for t in triples
+    )
+    transition = True
+    for i, t1 in enumerate(triples):
+        s1 = set(t1)
+        for t2 in triples[i + 1 :]:
+            diff = s1 ^ set(t2)
+            if len(diff) == 2:
+                u, v = diff
+                if (labels[u] - labels[v]) % 8 not in (3, 5):
+                    transition = False
+    zero_labels = {l for l in labels if l % 8 == 0}
+    missing = {}
+    for s in elems:
+        covered = {labels[i * s % p - 1] for j in range(1, p - 2) for i in (j, j + 1, j + 2)}
+        missing[s] = sorted(zero_labels - covered)
+    return {"consecutive_mod8": consec, "transition_mod8": transition,
+            "zero_mod8_missing": missing}

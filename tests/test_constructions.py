@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from reconfig import engine as E
@@ -5,6 +7,7 @@ from reconfig import constructions as C
 from reconfig.constructions import ConstructionError
 from reconfig.engine import TJ
 from reconfig.graph import is_independent
+from oracles import independent_ksets, pairwise_ring_properties
 
 
 def endpoints_are_valid(g, report):
@@ -222,13 +225,50 @@ def test_triple_extend_refuses_second_difference(comp_p4):
     # component of 9 wraps past p, where a move swaps labels 27-p apart,
     # which is even mod 8, so the ring cannot pass the transition check
     assert (C.MAX_RING_P - 8) // 64 == 1 and (C.MAX_RING_P + 1 - 8) // 64 == 2
-    ring, _ = C.circulant_ap_graph(137, (9, 17))
-    props = C.check_ring_properties(ring, 137, (9, 17), [v + 1 for v in range(ring.n)])
+    ring, ring_rep = C.circulant_ap_graph(137, (9, 17))
+    props = C.check_ring_properties(ring, ring_rep.roles["components"],
+                                    [v + 1 for v in range(ring.n)])
     assert not props["transition_mod8"]
     g, rep = comp_p4
     for p in (137, 139):
         with pytest.raises(ConstructionError, match=f"p={p} too large: .* p <= 135"):
             C.triple_extend(g, 2, rep.start, rep.target, p)
+
+
+def _ring_labels(p, s):
+    # triple_extend's relabelling: residue r gets label r * s^-1 mod p
+    s_inv = pow(s, -1, p)
+    return [(v + 1) * s_inv % p for v in range(p - 1)]
+
+
+def test_ring_check_matches_pairwise_oracle():
+    primes = [p for p in range(73, C.MAX_RING_P + 1) if C.is_prime(p)]
+    cases = [(p, (9,), _ring_labels(p, 9)) for p in primes]
+    cases.append((137, (9, 17), [v + 1 for v in range(136)]))
+    # seeded label lists around the relabelling and the residues themselves:
+    # shifts by multiples of 8 keep every residue, and a few redrawn labels
+    # break some checks
+    rng = random.Random(7)
+    for p, elems in ((73, (9,)), (131, (9,)), (137, (9, 17)), (211, (9, 17)), (41, (1, 5))):
+        for _ in range(8):
+            base = rng.choice((_ring_labels(p, elems[0]), [v + 1 for v in range(p - 1)]))
+            labels = [l + 8 * rng.randrange(4) for l in base]
+            for _ in range(rng.randrange(3)):
+                labels[rng.randrange(p - 1)] = rng.randrange(2 * p)
+            cases.append((p, elems, labels))
+    rings = {}
+    outcomes = set()
+    for p, elems, labels in cases:
+        if (p, elems) not in rings:
+            ring, rep = C.circulant_ap_graph(p, elems)
+            rings[p, elems] = ring, rep, independent_ksets(ring, 3)
+        ring, rep, triples = rings[p, elems]
+        props = C.check_ring_properties(ring, rep.roles["components"], labels)
+        assert props == pairwise_ring_properties(triples, p, elems, labels), (p, elems)
+        if p <= C.MAX_RING_P and labels == _ring_labels(p, 9):
+            assert props["consecutive_mod8"] and props["transition_mod8"], p
+        outcomes.add((props["consecutive_mod8"], props["transition_mod8"]))
+    assert {(True, True), (True, False), (False, False)} <= outcomes
 
 
 def test_build_general_clamps_ring_prime():
