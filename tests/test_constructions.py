@@ -6,7 +6,7 @@ from reconfig import engine as E
 from reconfig import constructions as C
 from reconfig.constructions import ConstructionError
 from reconfig.engine import TJ
-from reconfig.graph import is_independent
+from reconfig.graph import Graph, is_independent
 from oracles import independent_ksets, pairwise_ring_properties
 
 
@@ -152,8 +152,6 @@ def test_toll_booth_instances(comp_p4):
 
 
 def test_toll_booth_refusals():
-    from reconfig.graph import Graph
-
     # independence number 4 but k=2 demanded
     with pytest.raises(ConstructionError, match="independence number"):
         C.toll_booth_extend(Graph.empty(4), 2, (0, 1), (2, 3), 1)
@@ -245,13 +243,14 @@ def test_ring_check_matches_pairwise_oracle():
     primes = [p for p in range(73, C.MAX_RING_P + 1) if C.is_prime(p)]
     cases = [(p, (9,), _ring_labels(p, 9)) for p in primes]
     cases.append((137, (9, 17), [v + 1 for v in range(136)]))
-    # seeded label lists around the relabelling and the residues themselves:
-    # shifts by multiples of 8 keep every residue, and a few redrawn labels
-    # break some checks
+    # seeded label lists around the relabelling, the residues themselves and
+    # uniform draws: shifts by multiples of 8 keep every residue, and a few
+    # redrawn labels break some checks
     rng = random.Random(7)
     for p, elems in ((73, (9,)), (131, (9,)), (137, (9, 17)), (211, (9, 17)), (41, (1, 5))):
         for _ in range(8):
-            base = rng.choice((_ring_labels(p, elems[0]), [v + 1 for v in range(p - 1)]))
+            base = rng.choice((_ring_labels(p, elems[0]), [v + 1 for v in range(p - 1)],
+                               [rng.randrange(2 * p) for _ in range(p - 1)]))
             labels = [l + 8 * rng.randrange(4) for l in base]
             for _ in range(rng.randrange(3)):
                 labels[rng.randrange(p - 1)] = rng.randrange(2 * p)
@@ -269,6 +268,13 @@ def test_ring_check_matches_pairwise_oracle():
             assert props["consecutive_mod8"] and props["transition_mod8"], p
         outcomes.add((props["consecutive_mod8"], props["transition_mod8"]))
     assert {(True, True), (True, False), (False, False)} <= outcomes
+    # a pair kept by three triples, which no ring has: tokens 2 and 3 differ
+    # by 3 mod 8 and 3 and 4 by 3, but 2 and 4 by 6
+    fan = Graph.from_edges(5, [(2, 3), (2, 4), (3, 4)])
+    labels = [1, 2, 0, 3, 6]
+    props = C.check_ring_properties(fan, [], labels)
+    assert not props["transition_mod8"]
+    assert props == pairwise_ring_properties(independent_ksets(fan, 3), 0, (), labels)
 
 
 def test_build_general_clamps_ring_prime():
