@@ -2,9 +2,10 @@
 
 Each builder returns ``(Graph, BuildReport)``: the report names the special
 vertices, states the claimed diameter lower bound with its formula, and
-carries endpoint sets realizing the claim. Builders measure their own claims
-where feasible under the node cap and refuse rather than under-deliver:
-a measured value below the claimed bound raises instead of passing silently.
+carries endpoint sets realizing the claim. Distances come from ``_distance``,
+which refuses endpoints in different components. The +2 and +3 extensions
+measure their claim end to end where the node cap allows, and a value below
+it raises; a glued claim is measured only through its component distances.
 
 The +3 ring extension takes a prime 73 <= p <= 131: below 72 its difference
 9 exceeds p/8, and from 136 on a second difference breaks the mod-8
@@ -18,7 +19,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import engine
-from .apsets import APSet, odd_3ap_free
+from .apsets import is_3ap_free, odd_3ap_free
 from .engine import DEFAULT_NODE_CAP, TJ, NodeCapExceeded
 from .graph import Graph, GraphError, independence_number, is_independent
 
@@ -100,6 +101,17 @@ def _validate_endpoint(g: Graph, vs: Iterable[int], k: int, what: str) -> tuple[
     return t
 
 
+def _distance(g: Graph, k: int, a: Iterable[int], b: Iterable[int], node_cap: int) -> int:
+    """Jump-rule distance between the k-sets a and b of g. Endpoints in
+    different components refuse; a node-cap hit raises NodeCapExceeded."""
+    d = engine.distance(g, k, a, b, TJ, node_cap)
+    if d is None:
+        raise ConstructionError(
+            f"endpoints {tuple(sorted(a))} and {tuple(sorted(b))} are not connected"
+        )
+    return d
+
+
 # ---------------------------------------------------------------------------
 # complement of a path: the k=2 workhorse
 
@@ -142,7 +154,7 @@ def _complement_path_rows(n: int) -> list[int]:
 # circulant construction: many disjoint path components in the 3-token graph
 
 
-def circulant_ap_graph(p: int, s: "APSet | Iterable[int]") -> tuple[Graph, BuildReport]:
+def circulant_ap_graph(p: int, s: Iterable[int]) -> tuple[Graph, BuildReport]:
     """Near-complete graph on p-1 vertices whose 3-token configuration graph
     splits into |S| induced paths of p-3 nodes each.
 
@@ -154,23 +166,22 @@ def circulant_ap_graph(p: int, s: "APSet | Iterable[int]") -> tuple[Graph, Build
     sorted vertex-id triple of the residues {js, (j+1)s, (j+2)s} mod p; the
     three triples through the deleted vertex 0 are the ones skipped.
     """
-    elems = tuple(s.elements) if isinstance(s, APSet) else tuple(sorted(set(s)))
+    elems = tuple(sorted(set(s)))
     if not is_prime(p):
         raise ConstructionError(f"p not prime: {p}")
     if not elems:
         raise ConstructionError("S must be nonempty")
     for e in elems:
+        if e < 1:
+            raise ConstructionError(f"element {e} is not positive")
         if e % 4 != 1:
             raise ConstructionError(f"element {e} is not 1 mod 4")
     if 8 * max(elems) > p:
         raise ConstructionError(
             f"max element {max(elems)} exceeds p/8 = {p / 8:g}"
         )
-    if not isinstance(s, APSet):
-        try:
-            APSet(elems, max(elems))
-        except Exception:
-            raise ConstructionError(f"S={elems} contains a 3-term progression")
+    if not is_3ap_free(elems):
+        raise ConstructionError(f"S={elems} contains a 3-term progression")
 
     n = p - 1
     full = (1 << n) - 1
@@ -309,14 +320,7 @@ def glue(
         pairs.append((a_side, rec["b_order"]))
         a_side = rec["a_order"]
     pairs.append((a_side, target))
-    dists = []
-    for a, b in pairs:
-        d = engine.distance(g, k, a, b, TJ, node_cap)
-        if d is None:
-            raise ConstructionError(
-                f"endpoints {tuple(sorted(a))} and {tuple(sorted(b))} are not connected"
-            )
-        dists.append(d)
+    dists = [_distance(g, k, a, b, node_cap) for a, b in pairs]
 
     r = len(records) + 1
     claimed = (4 * k - 4) * (r - 1) + sum(dists)
@@ -348,10 +352,7 @@ def _host_distance(
     alpha = independence_number(g, limit=max(64, g.n))
     if alpha != k:
         raise ConstructionError(f"independence number is {alpha}, expected {k}")
-    d = engine.distance(g, k, a, b, TJ, node_cap)
-    if d is None:
-        raise ConstructionError("endpoints a and b are not connected")
-    return a, b, d
+    return a, b, _distance(g, k, a, b, node_cap)
 
 
 def _block_host(rows: list[int], host_n: int, gate: int, keep: set[int]) -> None:
@@ -374,7 +375,7 @@ def _self_measure(
     distance, or None when it does not fit under the node cap; a value
     below ``claimed`` raises."""
     try:
-        measured = engine.distance(h, k, start, target, TJ, node_cap)
+        measured = _distance(h, k, start, target, node_cap)
     except NodeCapExceeded:
         measured = None
     if measured is not None and measured < claimed:
@@ -643,23 +644,18 @@ def build_k3_extremal(budget_n: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple[
     fits, with all its path components glued in sequence."""
     if budget_n < 17:
         raise ConstructionError(f"budget_n must be at least 17, got {budget_n}")
-    chosen = None
+    # p = 17 with S = {1} costs 16 vertices, so the loop always breaks
     for p in range(budget_n + 1, 16, -1):
         if not is_prime(p):
             continue
         s = odd_3ap_free(p // 8, 4)
-        cost = (p - 1) + 7 * (len(s) - 1)
-        if cost <= budget_n:
-            chosen = (p, s)
+        if (p - 1) + 7 * (len(s) - 1) <= budget_n:
             break
-    if chosen is None:
-        raise ConstructionError(f"no feasible prime for budget {budget_n}")
-    p, s = chosen
     g, rep = circulant_ap_graph(p, s)
     ordered = [rec["path"] for rec in rep.roles["components"]]
     params = {"budget_n": budget_n, "p": p, "s": list(s.elements)}
     if len(ordered) == 1:
-        d = engine.distance(g, 3, rep.start, rep.target, TJ, node_cap)
+        d = _distance(g, 3, rep.start, rep.target, node_cap)
         report = BuildReport(
             name="k3-extremal",
             params=params,

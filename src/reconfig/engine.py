@@ -12,7 +12,9 @@ is never materialized. Queries take one of two routes, by what they need:
   its k groups. The BFS runs over set indices, and under "tj", where a
   group is a clique, it scans each group once. A component's neighbour
   rows are gathered from the index in numpy when first asked for, and only
-  for an uncapped component, so the node cap bounds what is held.
+  for an uncapped component, so the node cap bounds what is held. The cap
+  bounds exploration, not enumeration: every independent k-set is listed
+  before it applies, so a small cap does not make these queries cheap.
 - Goal-directed queries (``distance``, ``shortest_sequence``,
   ``neighbors``) may stop long before they meet every set, so they do not
   enumerate them. ``_neighbor_keys`` turns a canonical key into its

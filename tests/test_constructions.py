@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 
 from reconfig import engine as E
 from reconfig import constructions as C
 from reconfig.constructions import ConstructionError
-from reconfig.engine import TJ
+from reconfig.engine import TJ, NodeCapExceeded
 from reconfig.graph import Graph, is_independent
 from oracles import independent_ksets, pairwise_ring_properties
 
@@ -74,12 +75,46 @@ def test_circulant_refusals():
         C.circulant_ap_graph(17, [5])
     with pytest.raises(ConstructionError, match="progression"):
         C.circulant_ap_graph(97, [1, 5, 9])
+    with pytest.raises(ConstructionError, match="nonempty"):
+        C.circulant_ap_graph(17, ())
+    # -3 is 1 mod 4 in Python, so positivity is a condition of its own
+    for p, s in ((97, (-3,)), (41, (-3, 1))):
+        with pytest.raises(ConstructionError, match="element -3 is not positive"):
+            C.circulant_ap_graph(p, s)
+
+
+def test_validate_endpoint_refusals(comp_p4):
+    g, _ = comp_p4
+    for vs in ((0,), (0, 0), (0, 2, 3)):
+        with pytest.raises(ConstructionError, match="x must have exactly 2 distinct vertices"):
+            C._validate_endpoint(g, vs, 2, "x")
+
+
+def test_distance_refusals(comp_p4):
+    # alpha = 2, but the two non-edges {0, 1} and {2, 3} share no vertex
+    g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    with pytest.raises(ConstructionError,
+                       match=r"endpoints \(0, 1\) and \(2, 3\) are not connected"):
+        C._distance(g, 2, (1, 0), (2, 3), 100)
+    # a self-measurement refuses too: None means only "over the node cap"
+    with pytest.raises(ConstructionError, match="not connected"):
+        C._self_measure(g, 2, (0, 1), (2, 3), 0, 100)
+    p4, rep = comp_p4
+    assert C._distance(p4, 2, rep.start, rep.target, 100) == 2
+    with pytest.raises(NodeCapExceeded):
+        C._distance(p4, 2, rep.start, rep.target, 1)
 
 
 def test_orient_endpoint():
     path = [(0, 1, 2), (1, 2, 3), (2, 3, 4)]
     assert C.orient_endpoint(path, "b") == (4, 2, 3)
     assert C.orient_endpoint(path, "a") == (1, 2, 0)
+    with pytest.raises(ConstructionError, match="too short"):
+        C.orient_endpoint(path[:1], "a")
+    with pytest.raises(ConstructionError, match="end must be 'a' or 'b', got 'c'"):
+        C.orient_endpoint(path, "c")
+    with pytest.raises(ConstructionError, match="not adjacent"):
+        C.orient_endpoint([(0, 1, 2), (3, 4, 5)], "b")
 
 
 def test_glue_corridor(glued47):
@@ -133,6 +168,13 @@ def test_glue_validation(circ41):
         C.glue(g, 3, [not_indep], pa[0], pb[-1])
     with pytest.raises(ConstructionError, match="k >= 3"):
         C.glue(g, 2, [], pa[0], pb[-1])
+    with pytest.raises(ConstructionError, match="at least one junction"):
+        C.glue(g, 3, [], pa[0], pb[-1])
+    # the second component runs from pb's start to a target on pa
+    junction = (C.orient_endpoint(pa, "b"), C.orient_endpoint(pb, "a"))
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"endpoints {pb[0]} and {pa[-1]} are not connected")):
+        C.glue(g, 3, [junction], pa[0], pa[-1])
 
 
 def test_toll_booth_instances(comp_p4):
@@ -157,8 +199,12 @@ def test_toll_booth_refusals():
         C.toll_booth_extend(Graph.empty(4), 2, (0, 1), (2, 3), 1)
     # two disjoint edges in the complement: alpha=2 but endpoints disconnected
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    with pytest.raises(ConstructionError, match="not connected"):
+    with pytest.raises(ConstructionError,
+                       match=r"endpoints \(0, 1\) and \(2, 3\) are not connected"):
         C.toll_booth_extend(g, 2, (0, 1), (2, 3), 1)
+    p4, rep = C.complement_path(4)
+    with pytest.raises(ConstructionError, match="n >= 1, got 0"):
+        C.toll_booth_extend(p4, 2, rep.start, rep.target, 0)
 
 
 def test_iterate_toll_chain():
@@ -173,6 +219,14 @@ def test_iterate_toll_chain():
     assert g2.n == 20 and rep2.k == 6
     assert rep2.claimed_diameter_lb == 2 * (2 * (2 + 3) + 3) == 26
     assert rep2.extra["chain"][-1]["distance"] == 26
+
+
+def test_iterate_toll_refusals():
+    with pytest.raises(ConstructionError, match="nonnegative"):
+        C.iterate_toll(-1, 1)
+    # the host distance fits under the cap, the first step's does not
+    with pytest.raises(ConstructionError, match="step distance not measurable under node cap"):
+        C.iterate_toll(1, 1, node_cap=5)
 
 
 def test_triple_extend_p73(comp_p4):

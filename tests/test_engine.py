@@ -504,6 +504,8 @@ def test_key_width_refusal():
             E.bfs_component(g, 1, (0,))
         with pytest.raises(GraphError, match="key width"):
             E.enumerate_components(g, 1)
+        with pytest.raises(GraphError, match="n=65537 exceeds the 16-bit key width"):
+            E.neighbors(g, (0,))
     with pytest.raises(GraphError, match="vertex 65536 exceeds key width"):
         E.encode_key([1, 1 << 16])
     with pytest.raises(GraphError, match="strictly increasing"):

@@ -411,6 +411,9 @@ def test_cli_construct_refusal(capsys, tmp_path, monkeypatch):
                            "--s", "1")
     assert code == 2
     assert "not prime" in err
+    # -3 is 1 mod 4 in Python; it is refused as nonpositive, not as a progression
+    code, out, err = run_cli(capsys, "construct", "circulant", "--p", "41", "--s=-3")
+    assert (code, out, err) == (2, "", "element -3 is not positive\n")
 
 
 def test_cli_diameter_no_independent_set(tmp_path, capsys):
@@ -464,6 +467,9 @@ def test_cli_decide2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decide2", path, "--from", "0,2",
                            "--to", "3,4")
     assert code == 2
+    code, out, err = run_cli(capsys, "decide2", path, "--from", "0,x", "--to", "3,4")
+    assert (code, out) == (2, "")
+    assert err == "expected comma-separated vertex ids, got '0,x'\n"
 
 
 def test_cli_search(capsys):
@@ -581,6 +587,25 @@ def test_cli_verify(capsys, tmp_path):
                            "--out", out_path)
     assert code == 0 and json.loads(out)["pass"]
     assert (tmp_path / "sat.edges").exists()
+
+
+def test_cli_verify_refusals(capsys, tmp_path):
+    g, _ = complement_path(6)
+    path = str(tmp_path / "p6.edges")
+    write_graph(g, path)
+    # alpha = 2, but the non-edges {0, 1} and {2, 3} share no vertex
+    split = str(tmp_path / "split.edges")
+    write_graph(Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), split)
+    code, out, err = run_cli(capsys, "verify", "upper-bound-map", split,
+                             "--k", "2", "--from", "0,1", "--to", "2,3")
+    assert (code, out, err) == (2, "", "endpoints are not connected\n")
+
+    # 5 two-token sets on the complement of P_6, 14 triples at p = 17
+    for argv in (("verify", "config-path", path, "--k", "2"),
+                 ("verify", "circulant-structure", "--p", "17", "--s", "1")):
+        code, out, err = run_cli(capsys, "--cap", "4", *argv)
+        assert code == 3 and json.loads(out)["capped"] is True
+        assert err == "capped: node cap reached while enumerating components\n"
 
 
 def test_cli_apset(capsys):
