@@ -32,10 +32,9 @@ class APSetError(ValueError):
 
 @dataclass(frozen=True)
 class APSet:
-    """Strictly increasing positive integers, 3-AP-free, within [1, bound]."""
+    """Strictly increasing positive integers, 3-AP-free."""
 
     elements: tuple[int, ...]
-    universe_bound: int
 
     def __post_init__(self):
         es = self.elements
@@ -43,10 +42,6 @@ class APSet:
             raise APSetError("elements must be positive")
         if any(a >= b for a, b in zip(es, es[1:])):
             raise APSetError("elements must be strictly increasing")
-        if es and es[-1] > self.universe_bound:
-            raise APSetError(
-                f"element {es[-1]} exceeds universe bound {self.universe_bound}"
-            )
         if not is_3ap_free(es):
             raise APSetError("set contains a 3-term arithmetic progression")
 
@@ -79,7 +74,7 @@ def max_3ap_free(n: int) -> APSet:
     if n > MAX_EXACT_N:
         raise APSetError(f"max_3ap_free refused: n={n} exceeds limit {MAX_EXACT_N}")
     if n <= 0:
-        return APSet((), max(n, 0))
+        return APSet(())
     # forbid[t] counts how many chosen pairs would be completed by t
     forbid = [0] * (2 * n + 2)
     chosen: list[int] = []
@@ -106,13 +101,13 @@ def max_3ap_free(n: int) -> APSet:
         rec(x + 1)
 
     rec(1)
-    return APSet(tuple(best), n)
+    return APSet(tuple(best))
 
 
 def greedy_3ap_free(n: int) -> APSet:
     """Szekeres-style greedy: scan 1..n, keep x unless it completes an AP."""
     if n <= 0:
-        return APSet((), max(n, 0))
+        return APSet(())
     forbidden = bytearray(n + 1)
     chosen: list[int] = []
     for x in range(1, n + 1):
@@ -123,7 +118,7 @@ def greedy_3ap_free(n: int) -> APSet:
             if t <= n:
                 forbidden[t] = 1
         chosen.append(x)
-    return APSet(tuple(chosen), n)
+    return APSet(tuple(chosen))
 
 
 def behrend_info(n: int) -> tuple[APSet, dict]:
@@ -151,11 +146,11 @@ def odd_3ap_free(n: int, residue_mod: int) -> APSet:
     if residue_mod not in (4, 8):
         raise APSetError(f"residue_mod must be 4 or 8, got {residue_mod}")
     if n < 1:
-        return APSet((), max(n, 0))
+        return APSet(())
     m = (n - 1) // residue_mod  # base values 0..m give mod*s+1 <= n
     if m + 1 <= MAX_EXACT_N:
         base = max_3ap_free(m + 1)
     else:
         base = behrend_set(m + 1)
     elems = tuple(residue_mod * (s - 1) + 1 for s in base.elements)
-    return APSet(elems, n)
+    return APSet(elems)

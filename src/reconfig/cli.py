@@ -78,12 +78,10 @@ def _cmd_construct(args) -> int:
         )
     elif name == "k3":
         g, report = constructions.build_k3_extremal(args.budget, node_cap=args.cap)
-    elif name == "general":
+    else:
         g, report = constructions.build_general(
             args.k, args.budget, node_cap=args.cap
         )
-    else:  # pragma: no cover - argparse restricts choices
-        return EX_USAGE
     prefix = args.out or f"construct_{name}"
     write_graph(g, prefix + ".edges")
     with open(prefix + ".report.json", "w") as fh:
@@ -181,7 +179,7 @@ def _cmd_verify(args) -> int:
             g, report.k, report.roles.get("junctions", [])
         )
         witness = failures or None
-    elif check == "saturate":
+    else:
         g = read_graph(args.graph, args.format)
         before = engine.max_component_diameter(g, 3, TJ, args.cap).exact(
             "verify saturate", args.cap
@@ -196,8 +194,6 @@ def _cmd_verify(args) -> int:
                    "path": path_ok, "reason": reason}
         if args.out:
             write_graph(sat, args.out)
-    else:  # pragma: no cover - argparse restricts choices
-        return EX_USAGE
     _emit({"check": check, "pass": bool(ok), "witness": witness})
     return EX_OK if ok else EX_FAIL
 
@@ -213,11 +209,9 @@ def _cmd_apset(args) -> int:
         s, info = behrend_info(args.n)
         method = info["method"]
         params = info["params"]
-    elif method == "odd":
+    else:
         s = odd_3ap_free(args.n, args.mod)
         params = {"mod": args.mod}
-    else:  # pragma: no cover
-        return EX_USAGE
     _emit({
         "n": args.n,
         "size": len(s.elements),

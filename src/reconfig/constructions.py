@@ -68,17 +68,7 @@ class BuildReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "k": self.k,
-            "claimed_diameter_lb": self.claimed_diameter_lb,
-            "formula": self.formula,
-            "start": list(self.start),
-            "target": list(self.target),
-            "roles": self.roles,
-            "extra": self.extra,
-        }
+        return dict(vars(self))
 
 
 def is_prime(p: int) -> bool:

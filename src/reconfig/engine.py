@@ -291,7 +291,11 @@ class _ConfigIndex:
         self._lists = self.group.tolist(), self.bounds.tolist(), self.member.tolist()  # for the BFS
         # a component's position of each set, rewritten per component
         self._where = np.empty(size, np.intp)
-        self._news: Optional[list[int]] = None
+        if rule == TS:
+            # by group: the bitset of its members' new vertices
+            bits = [1 << v for v in self.new_vert.tolist()]
+            ends = self._lists[1]  # self.bounds as a list
+            self._news = [sum(bits[lo:hi]) for lo, hi in zip(ends, ends[1:])]
         self._adj_bits: Optional[np.ndarray] = None  # g's rows packed, under "ts"
 
     def component(self, start: int, node_cap: int) -> "ConfigComponent":
@@ -307,7 +311,7 @@ class _ConfigIndex:
         ts = self.rule == TS
         if ts:
             adj, vert = self.g.adj, self.vert.tolist()
-            news = self._new_vertices()
+            news = self._news
         order, depth = [start], [0]
         seen[start] = 1
         for at, i in enumerate(order):  # the queue grows while it is read
@@ -347,14 +351,6 @@ class _ConfigIndex:
                 if capped:
                     return ConfigComponent(k, self, order, depth, True)
         return ConfigComponent(k, self, order, depth)
-
-    def _new_vertices(self) -> list[int]:
-        """By group: the bitset of its members' new vertices."""
-        if self._news is None:
-            bits = [1 << v for v in self.new_vert.tolist()]
-            ends = self.bounds.tolist()
-            self._news = [sum(bits[lo:hi]) for lo, hi in zip(ends, ends[1:])]
-        return self._news
 
     def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, neighbours): the sets one move away from each of the
@@ -558,8 +554,6 @@ def validate_sequence(g: Graph, seq: list[tuple[int, ...]], rule: str = TJ) -> N
 def component_adjacency(comp: ConfigComponent) -> dict[int, list[int]]:
     """Materialized adjacency (key -> sorted neighbor keys) of a component.
     Refuses capped components."""
-    if comp.capped:
-        raise NodeCapExceeded("cannot list the adjacency of a capped component")
     nodes, indptr, cols = comp.csr()
     keys = list(map(comp.index.keys.__getitem__, nodes.tolist()))
     flat = list(map(keys.__getitem__, cols.tolist()))
@@ -740,8 +734,6 @@ def component_diameter(
     (``_rounds_diameter``) like every shorter component, so the bounds cost
     at most that budget on top. Both branches give the same witness pair.
     """
-    if comp.capped:
-        raise NodeCapExceeded("cannot compute an exact diameter of a capped component")
     nodes, indptr, cols = comp.csr()
     e0 = comp.depth[-1]
     found = _bounds_diameter(comp, e0) if e0 >= _BOUNDS_GATE else None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import engine
 from .constructions import circulant_ap_graph
@@ -34,9 +34,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hypergraph3:
-    """3-uniform hypergraph: distinct sorted triples over 0..n_vertices-1."""
+    """3-uniform hypergraph: distinct sorted triples of vertices."""
 
-    n_vertices: int
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class Hypergraph3:
                 raise GraphError(f"hyperedge {e} is not a 3-set")
             if tuple(sorted(e)) != tuple(e):
                 raise GraphError(f"hyperedge {e} is not sorted")
-            if e[-1] >= self.n_vertices or e[0] < 0:
-                raise GraphError(f"hyperedge {e} out of range")
             if e in seen:
                 raise GraphError(f"duplicate hyperedge {e}")
             seen.add(e)
@@ -111,7 +108,7 @@ def extract_63(
     _require_shortest(g, seq, rule, node_cap)
     offset = 0 if parity == "even" else 1
     edges = tuple(tuple(sorted(s)) for s in seq[offset::2])
-    return Hypergraph3(g.n, edges)
+    return Hypergraph3(edges)
 
 
 def verify_upper_bound_mapping(
@@ -216,30 +213,25 @@ def _check_pair(g: Graph, s: Iterable[int], what: str) -> tuple[int, int]:
     return t
 
 
-def _reach(start: int, goal: int, row: Callable[[int], int]) -> bool:
-    """Whether ``goal`` is reachable from ``start`` in the graph whose
-    vertex u has the neighbour bitmask ``row(u)``: bitset BFS, one
-    frontier layer per round."""
-    visited = frontier = 1 << start
+def decide_k2_naive(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
+    """Oracle decision: the two tokens of a can be walked to b iff a and b
+    meet the same connected component of the complement graph: bitset BFS
+    from a[0] in the complement, one frontier layer per round."""
+    a = _check_pair(g, a, "endpoint a")
+    b = _check_pair(g, b, "endpoint b")
+    full, adj, goal = (1 << g.n) - 1, g.adj, b[0]
+    visited = frontier = 1 << a[0]
     while frontier and not visited >> goal & 1:
         nxt = 0
         rest = frontier
         while rest:
             low = rest & -rest
             rest ^= low
-            nxt |= row(low.bit_length() - 1)
+            u = low.bit_length() - 1
+            nxt |= full & ~(adj[u] | low)
         frontier = nxt & ~visited
         visited |= frontier
     return bool(visited >> goal & 1)
-
-
-def decide_k2_naive(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """Oracle decision: the two tokens of a can be walked to b iff a and b
-    meet the same connected component of the complement graph."""
-    a = _check_pair(g, a, "endpoint a")
-    b = _check_pair(g, b, "endpoint b")
-    full = (1 << g.n) - 1
-    return _reach(a[0], b[0], lambda u: full & ~(g.adj[u] | 1 << u))
 
 
 def decide_k2_fast(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
@@ -289,8 +281,11 @@ def check_junction_windows(
     "x_ids"}``. Every independent k-set touching a junction's fresh vertices
     must be a window of k consecutive positions of that junction's sequence,
     and sets containing an inner fresh vertex must have exactly two
-    neighbors in the jump-rule configuration graph.
+    neighbors in the jump-rule configuration graph. An empty ``junctions``
+    refuses, since there is then nothing to check.
     """
+    if not junctions:
+        raise GraphError("check_junction_windows needs at least one junction")
     failures: list[str] = []
     all_sets = engine.independent_sets(g, k)
     for rec in junctions:
@@ -333,19 +328,16 @@ def check_circulant_structure(
     components = report.roles["components"]
     predicted = {tuple(t) for rec in components for t in rec["path"]}
     actual = set(engine.independent_sets(g, 3))
-    details: dict = {
-        "extra_triples": sorted(actual - predicted),
-        "missing_triples": sorted(predicted - actual),
-        "component_count": None,
-        "component_sizes": [],
-        "paths_ok": True,
-    }
     comps = engine.enumerate_components(g, 3, TJ, node_cap)
     if any(c.capped for c in comps):
         raise NodeCapExceeded("node cap reached while enumerating components")
-    details["component_count"] = len(comps)
-    details["component_sizes"] = sorted(c.size for c in comps)
-    details["paths_ok"] = all(_path_defect(c) is None for c in comps)
+    details = {
+        "extra_triples": sorted(actual - predicted),
+        "missing_triples": sorted(predicted - actual),
+        "component_count": len(comps),
+        "component_sizes": sorted(c.size for c in comps),
+        "paths_ok": all(_path_defect(c) is None for c in comps),
+    }
     ok = (
         not details["extra_triples"]
         and not details["missing_triples"]

@@ -2,6 +2,7 @@ import pytest
 
 from oracles import brute_max_3ap_free
 from reconfig.apsets import (
+    MAX_EXACT_N,
     APSet,
     APSetError,
     behrend_info,
@@ -24,13 +25,11 @@ def test_is_3ap_free_basics():
 
 def test_apset_invariants():
     with pytest.raises(APSetError):
-        APSet((1, 2, 3), 10)
+        APSet((1, 2, 3))
     with pytest.raises(APSetError):
-        APSet((2, 1), 10)
+        APSet((2, 1))
     with pytest.raises(APSetError):
-        APSet((0, 1), 10)
-    with pytest.raises(APSetError):
-        APSet((1, 11), 10)
+        APSet((0, 1))
 
 
 def test_max_3ap_free_small():
@@ -64,6 +63,7 @@ def test_max_3ap_free_limit():
 def test_greedy_prefix():
     # classical greedy: 1 + integers with only digits 0,1 in base 3
     assert greedy_3ap_free(14).elements == (1, 2, 4, 5, 10, 11, 13, 14)
+    assert greedy_3ap_free(0).elements == ()
     assert is_3ap_free(greedy_3ap_free(200).elements)
 
 
@@ -94,6 +94,14 @@ def test_odd_3ap_free():
         assert is_3ap_free(s.elements)
         assert all(1 <= x <= n for x in s.elements)
     assert odd_3ap_free(0, 4).elements == ()
+    # above MAX_EXACT_N base values the base is the greedy set
+    for mod in (4, 8):
+        s = odd_3ap_free(1000, mod)
+        m = 999 // mod
+        assert m + 1 > MAX_EXACT_N
+        assert is_3ap_free(s.elements)
+        assert all(x % mod == 1 for x in s.elements)
+        assert s.elements == tuple(mod * (x - 1) + 1 for x in greedy_3ap_free(m + 1).elements)
     with pytest.raises(APSetError):
         odd_3ap_free(10, 5)
 

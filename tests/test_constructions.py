@@ -260,6 +260,30 @@ def test_triple_extend_refusals(comp_p4):
         C.triple_extend(Graph.empty(4), 2, (0, 1), (2, 3), 73)
 
 
+@pytest.mark.parametrize("failed, message", [
+    ("consecutive_mod8", "some independent triple lacks consecutive labels mod 8"),
+    ("transition_mod8", "some adjacent triples lack a \\+-3 mod 8 transition"),
+])
+def test_triple_extend_refuses_failed_ring_property(comp_p4, monkeypatch, failed, message):
+    check = C.check_ring_properties
+    monkeypatch.setattr(C, "check_ring_properties",
+                        lambda *args: {**check(*args), failed: False})
+    g, rep = comp_p4
+    with pytest.raises(ConstructionError, match="ring property failed: " + message):
+        C.triple_extend(g, 2, rep.start, rep.target, 73)
+
+
+def test_self_measure_refuses_a_short_measurement(comp_p4, monkeypatch):
+    # a measured start-target distance below the claim refuses the build
+    distance = C._distance
+    monkeypatch.setattr(C, "_distance",
+                        lambda g, k, a, b, cap: distance(g, k, a, b, cap) - (k == 4))
+    g, rep = comp_p4
+    with pytest.raises(ConstructionError,
+                       match="measured distance 9 fell below claimed 10"):
+        C.toll_booth_extend(g, 2, rep.start, rep.target, 1)
+
+
 def test_triple_extend_every_ring_prime(comp_p4):
     g, rep = comp_p4
     primes = [p for p in range(73, C.MAX_RING_P + 1) if C.is_prime(p)]

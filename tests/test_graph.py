@@ -85,6 +85,7 @@ def test_independence_number_known():
     assert independence_number(Graph.empty(6)) == 6
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert independence_number(complement(p4)) == 2
+    assert independence_number(Graph.empty(0)) == 0
 
 
 def test_independence_number_matches_bruteforce():
@@ -116,6 +117,9 @@ def test_graph_invariant_checks():
         Graph(2, [0b100, 0])
     with pytest.raises(TypeError):
         Graph(2, [0, 0], True)  # the trust flag is keyword-only
+    # equality is by vertex count and rows, and only between graphs
+    assert Graph(2, [0b10, 0b01]) == Graph.from_edges(2, [(0, 1)])
+    assert Graph.empty(2) != (2, (0, 0))
 
 
 def _refusal(check, n, rows):

@@ -327,6 +327,13 @@ def test_search_memos_are_read_only():
             table[...] = 0
 
 
+def test_exhaustive_search_refuses_unconfirmed_witness(monkeypatch):
+    # the engine re-measures the witness; a different value refuses
+    monkeypatch.setattr(S, "_class_diameter", lambda *args: -1)
+    with pytest.raises(AssertionError, match="witness failed re-verification"):
+        S.exhaustive_search(5, 2)
+
+
 def test_exhaustive_search_same_cold_and_warm():
     memos = (S._candidates, S._sweep_tables, S._pair_images, S._class_count)
     for n in range(7):
@@ -578,9 +585,16 @@ def test_cli_verify(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "claim-inter", "--budget", "47")
     assert code == 0 and json.loads(out)["pass"]
 
-    out_path = str(tmp_path / "sat.edges")
-    from reconfig.graph import Graph
+    # under "ts" the shortest walk (0,1) -> (1,2) -> (1,3) keeps {1} twice
+    fork = str(tmp_path / "fork.edges")
+    write_graph(Graph.from_edges(4, [(0, 2), (2, 3)]), fork)
+    code, out, _ = run_cli(capsys, "verify", "upper-bound-map", fork, "--k", "2",
+                           "--from", "0,1", "--to", "1,3", "--rule", "ts")
+    assert code == 1
+    assert json.loads(out) == {"check": "upper-bound-map", "pass": False,
+                               "witness": [0, 1, [1]]}
 
+    out_path = str(tmp_path / "sat.edges")
     empty = str(tmp_path / "e4.edges")
     write_graph(Graph.empty(4), empty)
     code, out, _ = run_cli(capsys, "verify", "saturate", empty,
@@ -599,6 +613,13 @@ def test_cli_verify_refusals(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "upper-bound-map", split,
                              "--k", "2", "--from", "0,1", "--to", "2,3")
     assert (code, out, err) == (2, "", "endpoints are not connected\n")
+
+    # budgets 17..46 build one component, so there is no junction to check
+    for budget in ("17", "31", "46"):
+        code, out, err = run_cli(capsys, "verify", "claim-inter", "--budget", budget)
+        assert (code, out, err) == (
+            2, "", "check_junction_windows needs at least one junction\n"
+        )
 
     # 5 two-token sets on the complement of P_6, 14 triples at p = 17
     for argv in (("verify", "config-path", path, "--k", "2"),
@@ -703,6 +724,14 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 4
+    # `python -m reconfig.cli` runs the same main
+    as_module = subprocess.run(
+        [sys.executable, "-m", "reconfig.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert (as_module.returncode, as_module.stdout, as_module.stderr) == (
+        proc.returncode, proc.stdout, proc.stderr
+    )
 
     installed = shutil.which("reconfig")
     if installed:

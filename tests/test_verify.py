@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_is_63_free, explicit_distance, random_graph
+from reconfig import constructions as C
 from reconfig import engine as E
 from reconfig import graph as graph_module
 from reconfig import verify as V
@@ -17,30 +18,28 @@ from reconfig.verify import Hypergraph3
 
 
 def test_hypergraph_invariants():
-    Hypergraph3(5, ((0, 1, 2), (2, 3, 4)))
+    Hypergraph3(((0, 1, 2), (2, 3, 4)))
     with pytest.raises(GraphError):
-        Hypergraph3(5, ((0, 1, 1),))
+        Hypergraph3(((0, 1, 1),))
     with pytest.raises(GraphError):
-        Hypergraph3(5, ((2, 1, 0),))
+        Hypergraph3(((2, 1, 0),))
     with pytest.raises(GraphError):
-        Hypergraph3(3, ((1, 2, 3),))
-    with pytest.raises(GraphError):
-        Hypergraph3(5, ((0, 1, 2), (0, 1, 2)))
+        Hypergraph3(((0, 1, 2), (0, 1, 2)))
 
 
 def test_is_63_free():
-    ok, wit = V.is_63_free(Hypergraph3(6, ((1, 2, 3), (1, 2, 4), (1, 2, 5))))
+    ok, wit = V.is_63_free(Hypergraph3(((1, 2, 3), (1, 2, 4), (1, 2, 5))))
     assert not ok and wit == (1, 2, 3, 4, 5)
-    assert V.is_63_free(Hypergraph3(3, ((0, 1, 2),)))[0]
+    assert V.is_63_free(Hypergraph3(((0, 1, 2),)))[0]
     # three triples on 7 vertices are fine
-    assert V.is_63_free(Hypergraph3(7, ((0, 1, 2), (2, 3, 4), (4, 5, 6))))[0]
+    assert V.is_63_free(Hypergraph3(((0, 1, 2), (2, 3, 4), (4, 5, 6))))[0]
 
 
 @st.composite
 def triple_systems(draw):
     n = draw(st.integers(3, 14))
     triples = st.sets(st.integers(0, n - 1), min_size=3, max_size=3).map(lambda s: tuple(sorted(s)))
-    return Hypergraph3(n, tuple(draw(st.lists(triples, max_size=16, unique=True))))
+    return Hypergraph3(tuple(draw(st.lists(triples, max_size=16, unique=True))))
 
 
 @given(triple_systems())
@@ -56,7 +55,7 @@ def test_is_63_free_oracle_cases_both_ways():
     for _ in range(300):
         n = rng.randint(9, 30)
         pool = list(itertools.combinations(range(n), 3))
-        h = Hypergraph3(n, tuple(rng.sample(pool, rng.randint(2, min(14, n)))))
+        h = Hypergraph3(tuple(rng.sample(pool, rng.randint(2, min(14, n)))))
         want = brute_is_63_free(h.edges)
         assert V.is_63_free(h) == want
         outcomes.add(want[0])
@@ -343,6 +342,14 @@ def test_claim_inter(glued47):
     g, rep = glued47
     ok, failures = V.check_junction_windows(g, 3, rep.roles["junctions"])
     assert ok, failures
+
+
+def test_claim_inter_refuses_no_junctions():
+    # a single-component build has no junction records: nothing to check
+    g, rep = C.build_k3_extremal(31)
+    assert rep.extra["junctions"] == 0 and "junctions" not in rep.roles
+    with pytest.raises(GraphError, match="needs at least one junction"):
+        V.check_junction_windows(g, 3, [])
 
 
 def test_claim_inter_detects_damage(glued47):
